@@ -7,11 +7,7 @@
 // per-(op, size) speedups relative to t1.
 //
 // Naming contracts with bench/distill_bench.py:
-//   * BM_<op>_t<threads>/<size> — parallel mode. Ops with a `_striped`
-//     suffix (the pre-partitioning join design, kept as the contention
-//     baseline) have no t1 of their own; the distiller aliases them to
-//     the base op's t1, so partitioned and striped speedups share one
-//     serial denominator.
+//   * BM_<op>_t<threads>/<size> — parallel mode. Every op has its own t1.
 //   * BM_simd_<op>_(baseline|optimized)/<words> — kernels mode. baseline
 //     runs the frozen scalar loops from simd_scalar_ref.cc (compiled with
 //     the SIMD instruction sets disabled); optimized runs util/simd.h.
@@ -29,10 +25,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "consistency/arc_consistency.h"
-#include "consistency/parallel_gac.h"
-#include "csp/instance.h"
-#include "db/acyclic.h"
 #include "db/algebra.h"
 #include "db/parallel_algebra.h"
 #include "db/relation.h"
@@ -52,65 +44,17 @@ exec::ThreadPool& PoolFor(int threads) {
   return *pools[threads];
 }
 
-ParallelGacOptions GacOptionsFor(int threads) {
-  ParallelGacOptions options;
-  options.pool = &PoolFor(threads);
-  options.min_constraints = 0;  // always take the parallel path
-  return options;
-}
-
 ParallelDbOptions DbOptionsFor(int threads) {
   ParallelDbOptions options;
   options.pool = &PoolFor(threads);
   options.min_probe_rows = 0;  // always take the parallel path
-  options.min_forest_nodes = 0;
   return options;
 }
 
 // --------------------------------------------------------------------------
-// GAC: the ordering chain x_0 < x_1 < ... < x_{n-1} (same workload as
-// bench_report's revision benchmark) — the domino cascade keeps every
-// round's worklist non-trivial, which is the case parallel rounds target.
-
-CspInstance MakeOrderingChain(int n) {
-  CspInstance csp(n, n);
-  std::vector<Tuple> less;
-  for (int x = 0; x < n; ++x) {
-    for (int y = x + 1; y < n; ++y) less.push_back({x, y});
-  }
-  for (int v = 0; v + 1 < n; ++v) csp.AddConstraint({v, v + 1}, less);
-  return csp;
-}
-
-void BM_gac_t1(benchmark::State& state) {
-  CspInstance csp = MakeOrderingChain(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    AcResult r = EnforceGac(csp);
-    benchmark::DoNotOptimize(r.consistent);
-  }
-}
-BENCHMARK(BM_gac_t1)->Arg(48)->Arg(96);
-
-void GacParallelBody(benchmark::State& state, int threads) {
-  CspInstance csp = MakeOrderingChain(static_cast<int>(state.range(0)));
-  ParallelGacOptions options = GacOptionsFor(threads);
-  for (auto _ : state) {
-    AcResult r = EnforceGacParallel(csp, options);
-    benchmark::DoNotOptimize(r.consistent);
-  }
-}
-
-void BM_gac_t2(benchmark::State& state) { GacParallelBody(state, 2); }
-void BM_gac_t4(benchmark::State& state) { GacParallelBody(state, 4); }
-void BM_gac_t8(benchmark::State& state) { GacParallelBody(state, 8); }
-BENCHMARK(BM_gac_t2)->Arg(48)->Arg(96);
-BENCHMARK(BM_gac_t4)->Arg(48)->Arg(96);
-BENCHMARK(BM_gac_t8)->Arg(48)->Arg(96);
-
-// --------------------------------------------------------------------------
-// Natural join / semijoin: R(0,1) ⋈ S(1,2) with value range n/4 (~4n
-// output rows), the workload bench_report uses — the probe side stripes
-// across workers, the build side is the shared serial KeyIndex.
+// Natural join: R(0,1) ⋈ S(1,2) with value range n/4 (~4n output rows),
+// the workload bench_report uses — probe morsels spread across workers,
+// the build side is radix-partitioned.
 
 void MakeJoinInputs(int n, DbRelation* r, DbRelation* s) {
   Rng rng(777 + n);
@@ -157,144 +101,6 @@ void BM_natural_join_t8(benchmark::State& state) {
 BENCHMARK(BM_natural_join_t2)->Arg(10000)->Arg(50000)->Arg(200000);
 BENCHMARK(BM_natural_join_t4)->Arg(10000)->Arg(50000)->Arg(200000);
 BENCHMARK(BM_natural_join_t8)->Arg(10000)->Arg(50000)->Arg(200000);
-
-// Striped contention baseline: the same inputs through the shared-index
-// striped-probe kernel. No t1 variant — the distiller aliases these to
-// BM_natural_join_t1, so both designs divide by one serial measurement.
-void NaturalJoinStripedBody(benchmark::State& state, int threads) {
-  DbRelation r({0}), s({0});
-  MakeJoinInputs(static_cast<int>(state.range(0)), &r, &s);
-  ParallelDbOptions options = DbOptionsFor(threads);
-  for (auto _ : state) {
-    DbRelation out = NaturalJoinStriped(r, s, options);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-
-void BM_natural_join_striped_t2(benchmark::State& state) {
-  NaturalJoinStripedBody(state, 2);
-}
-void BM_natural_join_striped_t4(benchmark::State& state) {
-  NaturalJoinStripedBody(state, 4);
-}
-void BM_natural_join_striped_t8(benchmark::State& state) {
-  NaturalJoinStripedBody(state, 8);
-}
-BENCHMARK(BM_natural_join_striped_t2)->Arg(10000)->Arg(50000)->Arg(200000);
-BENCHMARK(BM_natural_join_striped_t4)->Arg(10000)->Arg(50000)->Arg(200000);
-BENCHMARK(BM_natural_join_striped_t8)->Arg(10000)->Arg(50000)->Arg(200000);
-
-void BM_semijoin_t1(benchmark::State& state) {
-  DbRelation r({0}), s({0});
-  MakeJoinInputs(static_cast<int>(state.range(0)), &r, &s);
-  for (auto _ : state) {
-    DbRelation out = Semijoin(r, s);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_semijoin_t1)->Arg(10000)->Arg(50000)->Arg(200000);
-
-void SemijoinBody(benchmark::State& state, int threads) {
-  DbRelation r({0}), s({0});
-  MakeJoinInputs(static_cast<int>(state.range(0)), &r, &s);
-  ParallelDbOptions options = DbOptionsFor(threads);
-  for (auto _ : state) {
-    DbRelation out = SemijoinParallel(r, s, options);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-
-void BM_semijoin_t2(benchmark::State& state) { SemijoinBody(state, 2); }
-void BM_semijoin_t4(benchmark::State& state) { SemijoinBody(state, 4); }
-void BM_semijoin_t8(benchmark::State& state) { SemijoinBody(state, 8); }
-BENCHMARK(BM_semijoin_t2)->Arg(10000)->Arg(50000)->Arg(200000);
-BENCHMARK(BM_semijoin_t4)->Arg(10000)->Arg(50000)->Arg(200000);
-BENCHMARK(BM_semijoin_t8)->Arg(10000)->Arg(50000)->Arg(200000);
-
-void SemijoinStripedBody(benchmark::State& state, int threads) {
-  DbRelation r({0}), s({0});
-  MakeJoinInputs(static_cast<int>(state.range(0)), &r, &s);
-  ParallelDbOptions options = DbOptionsFor(threads);
-  for (auto _ : state) {
-    DbRelation out = SemijoinStriped(r, s, options);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-
-void BM_semijoin_striped_t2(benchmark::State& state) {
-  SemijoinStripedBody(state, 2);
-}
-void BM_semijoin_striped_t4(benchmark::State& state) {
-  SemijoinStripedBody(state, 4);
-}
-void BM_semijoin_striped_t8(benchmark::State& state) {
-  SemijoinStripedBody(state, 8);
-}
-BENCHMARK(BM_semijoin_striped_t2)->Arg(10000)->Arg(50000)->Arg(200000);
-BENCHMARK(BM_semijoin_striped_t4)->Arg(10000)->Arg(50000)->Arg(200000);
-BENCHMARK(BM_semijoin_striped_t8)->Arg(10000)->Arg(50000)->Arg(200000);
-
-// --------------------------------------------------------------------------
-// Full reducer over a chain schema R_0(0,1) — R_1(1,2) — ... — the
-// upward/downward semijoin passes fan subtree work across workers. `size`
-// is rows per relation; the chain is 8 relations long.
-
-std::vector<DbRelation> MakeChainRelations(int rows) {
-  constexpr int kChain = 8;
-  Rng rng(4242 + rows);
-  int values = std::max(4, rows / 4);
-  std::vector<DbRelation> rels;
-  rels.reserve(kChain);
-  for (int i = 0; i < kChain; ++i) {
-    DbRelation rel({i, i + 1});
-    rel.Reserve(rows);
-    for (int j = 0; j < rows; ++j) {
-      rel.AddRow(
-          {rng.UniformInt(0, values - 1), rng.UniformInt(0, values - 1)});
-    }
-    rels.push_back(std::move(rel));
-  }
-  return rels;
-}
-
-void BM_full_reducer_t1(benchmark::State& state) {
-  std::vector<DbRelation> rels =
-      MakeChainRelations(static_cast<int>(state.range(0)));
-  JoinForest forest = *BuildJoinForest(HypergraphOfSchemas(rels));
-  for (auto _ : state) {
-    std::vector<DbRelation> work = rels;
-    YannakakisStats stats;
-    FullReducer(forest, &work, &stats);
-    benchmark::DoNotOptimize(stats.semijoin_passes);
-  }
-}
-BENCHMARK(BM_full_reducer_t1)->Arg(2000)->Arg(10000);
-
-void FullReducerBody(benchmark::State& state, int threads) {
-  std::vector<DbRelation> rels =
-      MakeChainRelations(static_cast<int>(state.range(0)));
-  JoinForest forest = *BuildJoinForest(HypergraphOfSchemas(rels));
-  ParallelDbOptions options = DbOptionsFor(threads);
-  for (auto _ : state) {
-    std::vector<DbRelation> work = rels;
-    YannakakisStats stats;
-    FullReducerParallel(forest, &work, options, &stats);
-    benchmark::DoNotOptimize(stats.semijoin_passes);
-  }
-}
-
-void BM_full_reducer_t2(benchmark::State& state) {
-  FullReducerBody(state, 2);
-}
-void BM_full_reducer_t4(benchmark::State& state) {
-  FullReducerBody(state, 4);
-}
-void BM_full_reducer_t8(benchmark::State& state) {
-  FullReducerBody(state, 8);
-}
-BENCHMARK(BM_full_reducer_t2)->Arg(2000)->Arg(10000);
-BENCHMARK(BM_full_reducer_t4)->Arg(2000)->Arg(10000);
-BENCHMARK(BM_full_reducer_t8)->Arg(2000)->Arg(10000);
 
 // --------------------------------------------------------------------------
 // SIMD-vs-scalar word kernels (kernels-mode naming: _baseline/_optimized).

@@ -1,7 +1,7 @@
 // Baseline-vs-optimized kernel microbenchmarks, the measured side of
 // BENCH_kernels.json. Every op comes in a `baseline` variant (the frozen
-// pre-optimization kernels in consistency/reference_gac.h and
-// db/reference_join.h) and an `optimized` variant (the shipping
+// pre-optimization kernels in tests/oracles/reference_gac.h and
+// tests/oracles/reference_join.h) and an `optimized` variant (the shipping
 // word-packed / flat-storage kernels), over identical seeded inputs, so
 // bench/run_benchmarks.sh can distill per-(op, size) speedups.
 //
@@ -14,12 +14,12 @@
 #include <benchmark/benchmark.h>
 
 #include "consistency/arc_consistency.h"
-#include "consistency/reference_gac.h"
 #include "csp/instance.h"
 #include "db/algebra.h"
-#include "db/reference_join.h"
 #include "db/relation.h"
 #include "gen/generators.h"
+#include "oracles/reference_gac.h"
+#include "oracles/reference_join.h"
 #include "util/rng.h"
 
 namespace cspdb {

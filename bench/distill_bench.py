@@ -9,13 +9,10 @@ distill takes bench_report's AND bench_parallel's raw JSON together.
 
 --mode parallel instead groups BM_<op>_t<threads>/<size> (bench_parallel):
 t1 is the true serial kernel, every other thread count gets a speedup
-relative to it. An op with no t1 of its own (a suffixed design variant
-like natural_join_striped) borrows the base op's t1 — strip the last
-underscore token — and records which op it borrowed as baseline_op, so
-design variants share one serial denominator. machine.num_cpus is
-recorded, and any thread entry with threads > num_cpus is stamped
-oversubscribed=true so readers can tell real scaling from
-oversubscription on a small machine.
+relative to it; an op without a t1 is skipped with a warning.
+machine.num_cpus is recorded, and any thread entry with threads >
+num_cpus is stamped oversubscribed=true so readers can tell real scaling
+from oversubscription on a small machine.
 
 --mode service takes plain BM_<op>/<size> names (bench_service) and emits
 ns/op plus any serving-layer counters the benchmark reported: rates
@@ -35,7 +32,10 @@ Usage: distill_bench.py <benchmark-json>... <output-json> [--label LABEL]
                         [--mode kernels|parallel|service]
 
 Multiple input files are merged benchmark-by-benchmark (first file's
-machine context wins) before distilling. Repeated runs of one benchmark
+machine context wins) before distilling. The machine block's build_type,
+simd and compiler come from the cspdb_* context keys every bench binary
+registers (bench/build_context.cc) — the project's own build, not the
+one libbenchmark was compiled with. Repeated runs of one benchmark
 (--benchmark_repetitions) distill to the per-cell MINIMUM time: on a
 shared machine the minimum is the least-contended estimate, and both
 sides of every pair get the same treatment.
@@ -142,18 +142,9 @@ def distill_parallel(report, num_cpus=None):
 
     kernels = []
     for (op, size), by_threads in sorted(cells.items()):
-        baseline_op = op
         if 1 not in by_threads:
-            # Suffixed design variants (natural_join_striped) share the
-            # base op's serial kernel, so they borrow its t1.
-            base = op.rsplit("_", 1)[0]
-            if (base, size) in cells and 1 in cells[(base, size)]:
-                baseline_op = base
-                by_threads = dict(by_threads)
-                by_threads[1] = cells[(base, size)][1]
-            else:
-                sys.stderr.write(f"warning: no t1 baseline for {op}/{size}\n")
-                continue
+            sys.stderr.write(f"warning: no t1 baseline for {op}/{size}\n")
+            continue
         serial_ns = by_threads[1]["real_time"]
         record = {
             "op": op,
@@ -161,8 +152,6 @@ def distill_parallel(report, num_cpus=None):
             "serial_ns_per_op": round(serial_ns, 1),
             "threads": [],
         }
-        if baseline_op != op:
-            record["baseline_op"] = baseline_op
         for threads in sorted(by_threads):
             if threads == 1:
                 continue
@@ -285,7 +274,9 @@ def main() -> int:
             "num_cpus": context.get("num_cpus"),
             "mhz_per_cpu": context.get("mhz_per_cpu"),
             "cpu_scaling_enabled": context.get("cpu_scaling_enabled"),
-            "build_type": context.get("library_build_type"),
+            "build_type": context.get("cspdb_build_type"),
+            "simd": context.get("cspdb_simd"),
+            "compiler": context.get("cspdb_compiler"),
         },
         "trajectory": [
             {

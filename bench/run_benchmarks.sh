@@ -38,10 +38,10 @@ PAR_ARGS=(--benchmark_format=json --benchmark_repetitions=5)
 SVC_ARGS=(--benchmark_format=json)
 if [[ "$SMOKE" == 1 ]]; then
   # Smallest tier of each op, minimal sampling: validates the harness and
-  # the distiller without burning CI minutes. 64 is the smallest SIMD
-  # word tier in bench_parallel.
+  # the distiller without burning CI minutes. In bench_parallel, 64 is
+  # the smallest SIMD word tier and 10000 the smallest join tier.
   BENCH_ARGS+=(--benchmark_filter='/(8|16|1000)$' --benchmark_min_time=0.01)
-  PAR_ARGS+=(--benchmark_filter='/(48|64|2000|10000)$' --benchmark_min_time=0.01
+  PAR_ARGS+=(--benchmark_filter='/(64|10000)$' --benchmark_min_time=0.01
              --benchmark_repetitions=1)
   # The iterations-suffix alternative keeps the pinned-iteration
   # BM_net_saturation/12 tier in the smoke.
@@ -58,7 +58,7 @@ else
   PAR_OUT=BENCH_parallel.json
   SVC_OUT=BENCH_service.json
   LABEL="flat-storage + bitset + SIMD kernels vs frozen scalar references"
-  PAR_LABEL="parallel GAC/join/full-reducer vs serial twins; partitioned vs striped joins"
+  PAR_LABEL="partitioned parallel natural join vs serial NaturalJoin"
   SVC_LABEL="serving layer: hit/miss latency, replay hit rate, overload shed, two-node loopback saturation"
 fi
 

@@ -10,7 +10,7 @@
 // (the compact-table idea). A value pruning invalidates whole words of
 // tuples at a time instead of re-scanning the relation row by row.
 // Differential tests pin this implementation to the frozen byte-map
-// reference in consistency/reference_gac.h.
+// reference in tests/oracles/reference_gac.h.
 
 #ifndef CSPDB_CONSISTENCY_ARC_CONSISTENCY_H_
 #define CSPDB_CONSISTENCY_ARC_CONSISTENCY_H_
@@ -28,12 +28,6 @@ struct AcResult {
   /// False if some variable's domain was wiped out (the instance is
   /// certainly unsolvable).
   bool consistent = true;
-
-  /// False if the run was cancelled before reaching the fixpoint (only the
-  /// parallel engine can be cancelled; serial engines always report true).
-  /// An incomplete result is still sound: `domains` over-approximates the
-  /// fixpoint, so no solution has been pruned.
-  bool complete = true;
 
   /// domains[v][d] is true iff value d survives for variable v.
   std::vector<Bitset> domains;

@@ -85,12 +85,6 @@ std::optional<std::vector<int>> BackjumpSolver::Solve() {
         assignment[var] = kUnassigned;
         return std::nullopt;
       }
-      if (options_.cancel != nullptr && (stats_.nodes & 63) == 0 &&
-          options_.cancel->cancelled()) {
-        stats_.aborted = true;
-        assignment[var] = kUnassigned;
-        return std::nullopt;
-      }
       ++stats_.nodes;
       CSPDB_COUNT("csp.backjump_nodes");
       assignment[var] = v;

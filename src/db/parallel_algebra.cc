@@ -1,10 +1,8 @@
 #include "db/parallel_algebra.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -12,50 +10,13 @@
 #include "db/algebra.h"
 #include "db/join_key.h"
 #include "obs/obs.h"
-#include "util/check.h"
-#include "util/sync.h"
 
 namespace cspdb {
 namespace {
 
 using db_internal::HashKeyAt;
-using db_internal::KeyIndex;
-using db_internal::KeysEqual;
 using db_internal::kNoRow;
 using db_internal::SharedPositions;
-
-exec::ThreadPool* ResolvePool(const ParallelDbOptions& options) {
-  return options.pool != nullptr ? options.pool : &exec::ThreadPool::Global();
-}
-
-// Runs fn(m) for every morsel index in [0, count): num_threads pool tasks
-// plus the calling thread (TaskGroup::Wait helps) pull indices from a
-// shared atomic cursor, so a slow morsel never strands the rest of its
-// preassigned range the way static striping can.
-void MorselFor(exec::ThreadPool* pool, int64_t count,
-               const std::function<void(int64_t)>& fn) {
-  if (count <= 0) return;
-  std::atomic<int64_t> cursor{0};
-  auto drain = [&cursor, &fn, count] {
-    for (int64_t m = cursor.fetch_add(1, std::memory_order_relaxed);
-         m < count; m = cursor.fetch_add(1, std::memory_order_relaxed)) {
-      fn(m);
-    }
-  };
-  // Same fork shape as ThreadPool::ParallelFor: the caller drains inline
-  // (so a helper that wakes late finds the cursor exhausted and exits)
-  // and only min(threads, morsels) - 1 helpers are ever spawned.
-  const int64_t helpers =
-      std::min<int64_t>(std::max(1, pool->num_threads()), count) - 1;
-  if (helpers <= 0) {
-    drain();
-    return;
-  }
-  exec::TaskGroup group(pool);
-  for (int64_t t = 0; t < helpers; ++t) group.Run(drain);
-  drain();
-  group.Wait();
-}
 
 constexpr std::size_t kMinParallelBuildRows = 1 << 16;
 
@@ -84,7 +45,7 @@ std::size_t RoundUpPow2(std::size_t x) {
 // cannot buy locality, so a single partition skips the routing cost
 // entirely; past the threshold, aim for ~256KB per partition so a
 // partition's chains stay hot during its probes, capped so huge builds
-// don't drown in empty partitions. Exists-only probes (no payload)
+// don't drown in empty partitions. Joins with no payload columns
 // touch so few bytes per build row that cache covers much larger
 // indexes before partitioning pays — their threshold is 8x higher.
 // The choice never affects output.
@@ -130,8 +91,8 @@ class PartitionedKeyIndex {
  public:
   /// Builds the partitioned index over `rel`'s `key_pos` columns,
   /// additionally copying the `store_pos` columns of each row into its
-  /// partition as a contiguous payload (pass an empty vector — e.g. for
-  /// a semijoin — to move key columns only).
+  /// partition as a contiguous payload (empty when the join adds no
+  /// columns: key columns only).
   PartitionedKeyIndex(const DbRelation& rel, const std::vector<int>& key_pos,
                       const std::vector<int>& store_pos,
                       std::size_t num_partitions, std::size_t morsel_rows,
@@ -322,14 +283,16 @@ class PartitionedKeyIndex {
     std::vector<uint64_t> row_hash(rows);
     std::vector<uint32_t> cell(
         static_cast<std::size_t>(num_morsels) * p_count, 0);
-    MorselFor(pool, num_morsels, [&](int64_t m) {
-      const std::size_t begin = static_cast<std::size_t>(m) * morsel;
-      const std::size_t end = std::min(begin + morsel, rows);
-      uint32_t* counts = cell.data() + static_cast<std::size_t>(m) * p_count;
-      for (std::size_t i = begin; i < end; ++i) {
-        const uint64_t h = HashKeyAt(data + i * arity, key_pos_);
-        row_hash[i] = h;
-        ++counts[PartitionOf(h)];
+    pool->ParallelFor(0, num_morsels, 1, [&](int64_t m_lo, int64_t m_hi) {
+      for (int64_t m = m_lo; m < m_hi; ++m) {
+        const std::size_t begin = static_cast<std::size_t>(m) * morsel;
+        const std::size_t end = std::min(begin + morsel, rows);
+        uint32_t* counts = cell.data() + static_cast<std::size_t>(m) * p_count;
+        for (std::size_t i = begin; i < end; ++i) {
+          const uint64_t h = HashKeyAt(data + i * arity, key_pos_);
+          row_hash[i] = h;
+          ++counts[PartitionOf(h)];
+        }
       }
     });
 
@@ -360,39 +323,44 @@ class PartitionedKeyIndex {
     // nothing and land in deterministic slots. Hashes go to a transient
     // partition-major array so pass 3 never rehashes.
     std::vector<uint64_t> scattered_hash(rows);
-    MorselFor(pool, num_morsels, [&](int64_t m) {
-      const std::size_t begin = static_cast<std::size_t>(m) * morsel;
-      const std::size_t end = std::min(begin + morsel, rows);
-      uint32_t* cursor = cell.data() + static_cast<std::size_t>(m) * p_count;
-      for (std::size_t i = begin; i < end; ++i) {
-        const int* row = data + i * arity;
-        const uint64_t h = row_hash[i];
-        const std::size_t p = PartitionOf(h);
-        Partition& part = parts_[p];
-        const std::size_t local = cursor[p]++;
-        int* key_out = part.keys.data() + local * key_arity_;
-        for (std::size_t j = 0; j < key_arity_; ++j) {
-          key_out[j] = row[key_pos_[j]];
+    pool->ParallelFor(0, num_morsels, 1, [&](int64_t m_lo, int64_t m_hi) {
+      for (int64_t m = m_lo; m < m_hi; ++m) {
+        const std::size_t begin = static_cast<std::size_t>(m) * morsel;
+        const std::size_t end = std::min(begin + morsel, rows);
+        uint32_t* cursor = cell.data() + static_cast<std::size_t>(m) * p_count;
+        for (std::size_t i = begin; i < end; ++i) {
+          const int* row = data + i * arity;
+          const uint64_t h = row_hash[i];
+          const std::size_t p = PartitionOf(h);
+          Partition& part = parts_[p];
+          const std::size_t local = cursor[p]++;
+          int* key_out = part.keys.data() + local * key_arity_;
+          for (std::size_t j = 0; j < key_arity_; ++j) {
+            key_out[j] = row[key_pos_[j]];
+          }
+          int* pay_out = part.payload.data() + local * store_arity_;
+          for (std::size_t j = 0; j < store_arity_; ++j) {
+            pay_out[j] = row[store_pos_[j]];
+          }
+          scattered_hash[hash_base[p] + local] = h;
         }
-        int* pay_out = part.payload.data() + local * store_arity_;
-        for (std::size_t j = 0; j < store_arity_; ++j) {
-          pay_out[j] = row[store_pos_[j]];
-        }
-        scattered_hash[hash_base[p] + local] = h;
       }
     });
 
     // Pass 3: bucket chains per partition, local order, push-front (the
     // serial KeyIndex recipe, so chain order matches it exactly).
-    MorselFor(pool, static_cast<int64_t>(p_count), [&](int64_t pi) {
-      Partition& part = parts_[static_cast<std::size_t>(pi)];
-      SizeBuckets(&part);
-      const uint64_t* hashes =
-          scattered_hash.data() + hash_base[static_cast<std::size_t>(pi)];
-      for (std::size_t j = 0; j < part.num_rows; ++j) {
-        const std::size_t b = hashes[j] & part.mask;
-        part.next[j] = part.heads[b];
-        part.heads[b] = static_cast<uint32_t>(j);
+    const int64_t num_parts = static_cast<int64_t>(p_count);
+    pool->ParallelFor(0, num_parts, 1, [&](int64_t p_lo, int64_t p_hi) {
+      for (int64_t pi = p_lo; pi < p_hi; ++pi) {
+        Partition& part = parts_[static_cast<std::size_t>(pi)];
+        SizeBuckets(&part);
+        const uint64_t* hashes =
+            scattered_hash.data() + hash_base[static_cast<std::size_t>(pi)];
+        for (std::size_t j = 0; j < part.num_rows; ++j) {
+          const std::size_t b = hashes[j] & part.mask;
+          part.next[j] = part.heads[b];
+          part.heads[b] = static_cast<uint32_t>(j);
+        }
       }
     });
   }
@@ -442,15 +410,6 @@ class PartitionedKeyIndex {
   std::vector<Partition> parts_;
 };
 
-// Stripe geometry for a probe side of `rows` rows: contiguous stripes of
-// equal size (last one ragged), about 4 per worker so stealing can even
-// out skewed match densities.
-std::size_t StripeSize(std::size_t rows, int num_threads) {
-  const std::size_t stripes =
-      std::max<std::size_t>(1, static_cast<std::size_t>(num_threads) * 4);
-  return std::max<std::size_t>(1, (rows + stripes - 1) / stripes);
-}
-
 // A grow-by-doubling flat int buffer for morsel outputs. Unlike
 // vector::resize it never value-initializes the tail — growth is an
 // allocation plus a copy of the live prefix, so emitting N ints costs
@@ -477,21 +436,6 @@ struct RowBuffer {
   }
 };
 
-// Concatenates per-stripe row buffers (each a flat arity-strided int
-// array) into `out` in stripe order — the striped kernels' variant.
-void ConcatBuffers(const std::vector<std::vector<int>>& buffers, int arity,
-                   DbRelation* out) {
-  std::size_t total_rows = 0;
-  for (const std::vector<int>& buf : buffers) {
-    total_rows += buf.size() / static_cast<std::size_t>(arity);
-  }
-  out->Reserve(total_rows);
-  for (const std::vector<int>& buf : buffers) {
-    out->AppendRowsUnchecked(buf.data(),
-                             buf.size() / static_cast<std::size_t>(arity));
-  }
-}
-
 // Concatenates per-chunk row buffers (each a flat arity-strided int
 // array) into `out` in chunk order.
 void ConcatBuffers(const std::vector<RowBuffer>& buffers, int arity,
@@ -511,7 +455,8 @@ void ConcatBuffers(const std::vector<RowBuffer>& buffers, int arity,
 
 DbRelation NaturalJoinParallel(const DbRelation& r, const DbRelation& s,
                                const ParallelDbOptions& options) {
-  exec::ThreadPool* pool = ResolvePool(options);
+  exec::ThreadPool* pool =
+      options.pool != nullptr ? options.pool : &exec::ThreadPool::Global();
   if (pool->num_threads() <= 1 || r.size() < options.min_probe_rows ||
       s.empty()) {
     return NaturalJoin(r, s);
@@ -546,7 +491,7 @@ DbRelation NaturalJoinParallel(const DbRelation& r, const DbRelation& s,
   std::vector<RowBuffer> buffers(static_cast<std::size_t>(num_morsels));
   const int* r_data = r.data().data();
   const bool chunked = index.PrefetchWorthwhile();
-  MorselFor(pool, num_morsels, [&](int64_t m) {
+  auto probe_morsel = [&](int64_t m) {
     RowBuffer& buf = buffers[static_cast<std::size_t>(m)];
     const std::size_t begin = static_cast<std::size_t>(m) * morsel;
     const std::size_t end = std::min(begin + morsel, r.size());
@@ -584,291 +529,15 @@ DbRelation NaturalJoinParallel(const DbRelation& r, const DbRelation& s,
                          r_pos));
       }
     }
+  };
+  pool->ParallelFor(0, num_morsels, 1, [&](int64_t m_lo, int64_t m_hi) {
+    for (int64_t m = m_lo; m < m_hi; ++m) probe_morsel(m);
   });
   // Morsel-ordered concatenation == probe-row order == serial row order.
   ConcatBuffers(buffers, out_arity, &out);
   CSPDB_COUNT_N("db.join.rows_out", static_cast<int64_t>(out.size()));
   CSPDB_GAUGE_MAX("db.join.peak_rows", static_cast<int64_t>(out.size()));
   return out;
-}
-
-DbRelation SemijoinParallel(const DbRelation& r, const DbRelation& s,
-                            const ParallelDbOptions& options) {
-  exec::ThreadPool* pool = ResolvePool(options);
-  if (pool->num_threads() <= 1 || r.size() < options.min_probe_rows ||
-      s.empty()) {
-    return Semijoin(r, s);
-  }
-  CSPDB_COUNT("db.semijoins");
-  std::vector<int> r_pos, s_pos;
-  SharedPositions(r, s, &r_pos, &s_pos);
-  DbRelation out(r.schema());
-  const int r_arity = r.arity();
-
-  const std::size_t morsel = std::max<std::size_t>(1, options.morsel_rows);
-  const std::size_t partitions =
-      options.num_partitions != 0
-          ? options.num_partitions
-          : AutoPartitions(s.size(), s_pos.size(), 0);
-  const std::vector<int> no_payload;  // exists-only probe: keys suffice
-  PartitionedKeyIndex index(s, s_pos, no_payload, partitions, morsel, pool,
-                            options.force_parallel_build);
-
-  const int64_t num_morsels =
-      static_cast<int64_t>((r.size() + morsel - 1) / morsel);
-  std::vector<RowBuffer> buffers(static_cast<std::size_t>(num_morsels));
-  const int* r_data = r.data().data();
-  const bool chunked = index.PrefetchWorthwhile();
-  MorselFor(pool, num_morsels, [&](int64_t m) {
-    RowBuffer& buf = buffers[static_cast<std::size_t>(m)];
-    const std::size_t begin = static_cast<std::size_t>(m) * morsel;
-    const std::size_t end = std::min(begin + morsel, r.size());
-    auto probe_one = [&](std::size_t i, uint64_t hash) {
-      const int* rrow = r_data + i * static_cast<std::size_t>(r_arity);
-      const PartitionedKeyIndex::Partition& part = index.PartitionFor(hash);
-      if (index.FirstMatch(part, hash, rrow, r_pos) != kNoRow) {
-        std::copy(rrow, rrow + r_arity,
-                  buf.Room(static_cast<std::size_t>(r_arity)));
-        buf.len += static_cast<std::size_t>(r_arity);
-      }
-    };
-    if (chunked) {
-      uint64_t hashes[kProbeChunk];
-      for (std::size_t cb = begin; cb < end; cb += kProbeChunk) {
-        const std::size_t ce = std::min(cb + kProbeChunk, end);
-        for (std::size_t i = cb; i < ce; ++i) {
-          const uint64_t h = index.HashProbe(
-              r_data + i * static_cast<std::size_t>(r_arity), r_pos);
-          hashes[i - cb] = h;
-          index.PrefetchBucket(h);
-        }
-        for (std::size_t i = cb; i < ce; ++i) probe_one(i, hashes[i - cb]);
-      }
-    } else {
-      for (std::size_t i = begin; i < end; ++i) {
-        probe_one(i, index.HashProbe(
-                         r_data + i * static_cast<std::size_t>(r_arity),
-                         r_pos));
-      }
-    }
-  });
-  ConcatBuffers(buffers, r_arity, &out);
-  CSPDB_COUNT_N("db.semijoin.rows_removed",
-                static_cast<int64_t>(r.size() - out.size()));
-  return out;
-}
-
-DbRelation NaturalJoinStriped(const DbRelation& r, const DbRelation& s,
-                              const ParallelDbOptions& options) {
-  exec::ThreadPool* pool = ResolvePool(options);
-  if (pool->num_threads() <= 1 || r.size() < options.min_probe_rows ||
-      s.empty()) {
-    return NaturalJoin(r, s);
-  }
-  CSPDB_TRACE_SPAN("db.natural_join_striped");
-  CSPDB_COUNT("db.joins");
-  std::vector<int> r_pos, s_pos;
-  SharedPositions(r, s, &r_pos, &s_pos);
-  std::vector<int> schema = r.schema();
-  std::vector<int> s_extra_pos;
-  for (std::size_t i = 0; i < s.schema().size(); ++i) {
-    if (r.AttributePosition(s.schema()[i]) < 0) {
-      schema.push_back(s.schema()[i]);
-      s_extra_pos.push_back(static_cast<int>(i));
-    }
-  }
-  const int r_arity = r.arity();
-  const int s_arity = s.arity();
-  const int out_arity = static_cast<int>(schema.size());
-  DbRelation out(std::move(schema));
-
-  // Build serially (same index, hence same chain order, as the serial
-  // kernel), probe in stripes.
-  KeyIndex index(s, s_pos);
-  const std::size_t stripe = StripeSize(r.size(), pool->num_threads());
-  const std::size_t num_stripes = (r.size() + stripe - 1) / stripe;
-  std::vector<std::vector<int>> buffers(num_stripes);
-  const int* r_data = r.data().data();
-  const int* s_data = s.data().data();
-  pool->ParallelFor(
-      0, static_cast<int64_t>(num_stripes), 1,
-      [&](int64_t lo, int64_t hi) {
-        std::vector<int> out_row(static_cast<std::size_t>(out_arity));
-        for (int64_t si = lo; si < hi; ++si) {
-          std::vector<int>& buf = buffers[static_cast<std::size_t>(si)];
-          const std::size_t begin = static_cast<std::size_t>(si) * stripe;
-          const std::size_t end = std::min(begin + stripe, r.size());
-          for (std::size_t i = begin; i < end; ++i) {
-            const int* rrow = r_data + i * static_cast<std::size_t>(r_arity);
-            for (uint32_t m = index.FirstMatch(rrow, r_pos); m != kNoRow;
-                 m = index.NextMatch(m, rrow, r_pos)) {
-              const int* srow =
-                  s_data + m * static_cast<std::size_t>(s_arity);
-              std::copy(rrow, rrow + r_arity, out_row.begin());
-              for (std::size_t k = 0; k < s_extra_pos.size(); ++k) {
-                out_row[static_cast<std::size_t>(r_arity) + k] =
-                    srow[s_extra_pos[k]];
-              }
-              buf.insert(buf.end(), out_row.begin(), out_row.end());
-            }
-          }
-        }
-      });
-  // Stripe-ordered concatenation == probe-row order == serial row order.
-  ConcatBuffers(buffers, out_arity, &out);
-  CSPDB_COUNT_N("db.join.rows_out", static_cast<int64_t>(out.size()));
-  CSPDB_GAUGE_MAX("db.join.peak_rows", static_cast<int64_t>(out.size()));
-  return out;
-}
-
-DbRelation SemijoinStriped(const DbRelation& r, const DbRelation& s,
-                           const ParallelDbOptions& options) {
-  exec::ThreadPool* pool = ResolvePool(options);
-  if (pool->num_threads() <= 1 || r.size() < options.min_probe_rows ||
-      s.empty()) {
-    return Semijoin(r, s);
-  }
-  CSPDB_COUNT("db.semijoins");
-  std::vector<int> r_pos, s_pos;
-  SharedPositions(r, s, &r_pos, &s_pos);
-  DbRelation out(r.schema());
-  KeyIndex index(s, s_pos);
-  const int r_arity = r.arity();
-  const std::size_t stripe = StripeSize(r.size(), pool->num_threads());
-  const std::size_t num_stripes = (r.size() + stripe - 1) / stripe;
-  std::vector<std::vector<int>> buffers(num_stripes);
-  const int* r_data = r.data().data();
-  pool->ParallelFor(
-      0, static_cast<int64_t>(num_stripes), 1,
-      [&](int64_t lo, int64_t hi) {
-        for (int64_t si = lo; si < hi; ++si) {
-          std::vector<int>& buf = buffers[static_cast<std::size_t>(si)];
-          const std::size_t begin = static_cast<std::size_t>(si) * stripe;
-          const std::size_t end = std::min(begin + stripe, r.size());
-          for (std::size_t i = begin; i < end; ++i) {
-            const int* rrow = r_data + i * static_cast<std::size_t>(r_arity);
-            if (index.FirstMatch(rrow, r_pos) != kNoRow) {
-              buf.insert(buf.end(), rrow, rrow + r_arity);
-            }
-          }
-        }
-      });
-  ConcatBuffers(buffers, r_arity, &out);
-  CSPDB_COUNT_N("db.semijoin.rows_removed",
-                static_cast<int64_t>(r.size() - out.size()));
-  return out;
-}
-
-void FullReducerParallel(const JoinForest& forest,
-                         std::vector<DbRelation>* relations,
-                         const ParallelDbOptions& options,
-                         YannakakisStats* stats) {
-  exec::ThreadPool* pool = ResolvePool(options);
-  const int n = static_cast<int>(relations->size());
-  if (pool->num_threads() <= 1 ||
-      relations->size() < options.min_forest_nodes) {
-    FullReducer(forest, relations, stats);
-    return;
-  }
-  CSPDB_TIMER_SCOPE("db.full_reducer_parallel");
-  if (stats != nullptr) {
-    stats->input_rows.clear();
-    for (const DbRelation& r : *relations) {
-      stats->input_rows.push_back(static_cast<int64_t>(r.size()));
-    }
-  }
-  std::vector<std::vector<int>> children(n);
-  for (int e = 0; e < n; ++e) {
-    if (forest.parent[e] >= 0) children[forest.parent[e]].push_back(e);
-  }
-  std::atomic<int64_t> passes{0};
-  std::atomic<int64_t> removed{0};
-  // Semijoins into the same parent commute exactly (Semijoin keeps probe
-  // rows in order), so a per-parent mutex is enough for determinism.
-  // Leaf locks: Semijoin acquires nothing, so no ordering constraint.
-  std::vector<std::unique_ptr<util::Mutex>> node_mu(n);
-  for (auto& mu : node_mu) mu = std::make_unique<util::Mutex>();
-  auto reduce = [&](int target, int with) {
-    util::MutexLock lock(*node_mu[target]);
-    const int64_t before = static_cast<int64_t>((*relations)[target].size());
-    (*relations)[target] =
-        Semijoin((*relations)[target], (*relations)[with]);
-    passes.fetch_add(1, std::memory_order_relaxed);
-    removed.fetch_add(
-        before - static_cast<int64_t>((*relations)[target].size()),
-        std::memory_order_relaxed);
-  };
-
-  // Upward pass: node e may fold into its parent once all of e's own
-  // children have folded into e.
-  {
-    std::vector<std::atomic<int>> pending(n);
-    for (int e = 0; e < n; ++e) {
-      pending[e].store(static_cast<int>(children[e].size()),
-                       std::memory_order_relaxed);
-    }
-    exec::TaskGroup group(pool);
-    std::function<void(int)> fold_up = [&](int e) {
-      const int f = forest.parent[e];
-      if (f < 0) return;
-      reduce(f, e);
-      if (pending[f].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        group.Run([&fold_up, f] { fold_up(f); });
-      }
-    };
-    for (int e = 0; e < n; ++e) {
-      if (children[e].empty()) {
-        group.Run([&fold_up, e] { fold_up(e); });
-      }
-    }
-    group.Wait();
-  }
-
-  // Downward pass: fan out from the roots; each task writes only its own
-  // node and reads its (already final) parent — lock-free.
-  {
-    exec::TaskGroup group(pool);
-    std::function<void(int)> fold_down = [&](int e) {
-      for (int c : children[e]) {
-        group.Run([&, c, e] {
-          const int64_t before =
-              static_cast<int64_t>((*relations)[c].size());
-          (*relations)[c] = Semijoin((*relations)[c], (*relations)[e]);
-          passes.fetch_add(1, std::memory_order_relaxed);
-          removed.fetch_add(
-              before - static_cast<int64_t>((*relations)[c].size()),
-              std::memory_order_relaxed);
-          fold_down(c);
-        });
-      }
-    };
-    for (int e = 0; e < n; ++e) {
-      if (forest.parent[e] < 0) fold_down(e);
-    }
-    group.Wait();
-  }
-
-  if (stats != nullptr) {
-    stats->semijoin_passes += passes.load(std::memory_order_relaxed);
-    stats->rows_removed += removed.load(std::memory_order_relaxed);
-    stats->reduced_rows.clear();
-    for (const DbRelation& r : *relations) {
-      const int64_t rows = static_cast<int64_t>(r.size());
-      stats->reduced_rows.push_back(rows);
-      stats->peak_reduced_rows = std::max(stats->peak_reduced_rows, rows);
-    }
-  }
-}
-
-bool AcyclicJoinNonemptyParallel(const JoinForest& forest,
-                                 std::vector<DbRelation> relations,
-                                 const ParallelDbOptions& options) {
-  if (relations.empty()) return true;
-  FullReducerParallel(forest, &relations, options);
-  for (const DbRelation& r : relations) {
-    if (r.empty()) return false;
-  }
-  return true;
 }
 
 }  // namespace cspdb

@@ -1,45 +1,32 @@
-// Parallel relational kernels on the work-stealing pool: morsel-driven
-// radix-partitioned hash joins/semijoins and a task-graph full reducer
-// over join forests.
+// The parallel natural join on the work-stealing pool: a morsel-driven,
+// radix-partitioned hash join.
 //
-// Join design (DESIGN.md "Execution layer"): the build side is
+// Design (DESIGN.md "Execution layer"): the build side is
 // radix-partitioned by the top bits of the same FNV key hash the serial
 // KeyIndex buckets with, giving one small, independently built KeyIndex
 // per partition — workers never share a build structure, and each
 // partition's chains stay cache-resident during probing. The probe side
 // is NOT partitioned: workers pull fixed-size probe morsels from a
-// shared atomic cursor, route each probe row to its partition's index
-// (equal keys hash equally, so every match lives in that one
-// partition), and buffer output per morsel.
+// shared cursor, route each probe row to its partition's index (equal
+// keys hash equally, so every match lives in that one partition), and
+// buffer output per morsel.
 //
-// Determinism contract (inherited from the striped design of PR 4):
-// every operator returns output bit-identical to its serial twin in
-// db/algebra.h / db/acyclic.h.
+// Determinism contract: the output is bit-identical to the serial
+// NaturalJoin in db/algebra.h, row order included.
 //   * Within a partition the build scatter preserves original row order
 //     (morsel-order concatenation per partition), so a partition-local
 //     hash chain enumerates exactly the same matches in exactly the same
 //     order as the serial KeyIndex chain.
 //   * Per-morsel output buffers concatenate in morsel order, which is
 //     probe-row order, which is the serial emission order.
-//   * FullReducerParallel runs independent subtree semijoins
-//     concurrently; semijoins into one parent commute exactly, so a
-//     per-parent mutex suffices.
-// These kernels are not cancellation points: each is a polynomial pass,
-// and an interrupted join would be wrong rather than merely incomplete
-// (unlike GAC pruning, which is sound to stop early).
-//
-// The previous striped-probe kernels (one shared KeyIndex, contiguous
-// probe stripes) are kept as NaturalJoinStriped / SemijoinStriped: they
-// are the contention baseline bench_parallel measures the partitioned
-// design against, and extra differential oracles in tests.
+// The join is not a cancellation point: it is one polynomial pass, and
+// an interrupted join would be wrong rather than merely incomplete.
 
 #ifndef CSPDB_DB_PARALLEL_ALGEBRA_H_
 #define CSPDB_DB_PARALLEL_ALGEBRA_H_
 
 #include <cstddef>
-#include <vector>
 
-#include "db/acyclic.h"
 #include "db/relation.h"
 #include "exec/thread_pool.h"
 
@@ -52,9 +39,6 @@ struct ParallelDbOptions {
   /// Probe sides smaller than this fall back to the serial kernel — the
   /// per-morsel buffer and fork/join overhead beats the win below it.
   std::size_t min_probe_rows = 2048;
-
-  /// Forests smaller than this run the serial FullReducer.
-  std::size_t min_forest_nodes = 4;
 
   /// Probe (and build-scatter) morsel size in rows. Workers claim one
   /// morsel at a time from a shared atomic cursor, so smaller morsels
@@ -79,37 +63,6 @@ struct ParallelDbOptions {
 /// Bit-identical to the serial NaturalJoin, including row order.
 DbRelation NaturalJoinParallel(const DbRelation& r, const DbRelation& s,
                                const ParallelDbOptions& options = {});
-
-/// Semijoin(r, s) with the same partitioned-build, morsel-probe design.
-/// Bit-identical to the serial Semijoin, including row order.
-DbRelation SemijoinParallel(const DbRelation& r, const DbRelation& s,
-                            const ParallelDbOptions& options = {});
-
-/// The pre-partitioning striped-probe join: one serially built shared
-/// KeyIndex, probe side split into contiguous stripes. Kept as the
-/// benchmark baseline for the partitioned design; same bit-identical
-/// contract.
-DbRelation NaturalJoinStriped(const DbRelation& r, const DbRelation& s,
-                              const ParallelDbOptions& options = {});
-
-/// Striped twin of SemijoinParallel (see NaturalJoinStriped).
-DbRelation SemijoinStriped(const DbRelation& r, const DbRelation& s,
-                           const ParallelDbOptions& options = {});
-
-/// FullReducer with independent subtree semijoin passes run concurrently:
-/// the upward pass folds a node into its parent as soon as all of the
-/// node's own children have folded in; the downward pass fans out from the
-/// roots. Final relation contents (and stats totals) are identical to the
-/// serial FullReducer.
-void FullReducerParallel(const JoinForest& forest,
-                         std::vector<DbRelation>* relations,
-                         const ParallelDbOptions& options = {},
-                         YannakakisStats* stats = nullptr);
-
-/// AcyclicJoinNonempty via FullReducerParallel.
-bool AcyclicJoinNonemptyParallel(const JoinForest& forest,
-                                 std::vector<DbRelation> relations,
-                                 const ParallelDbOptions& options = {});
 
 }  // namespace cspdb
 

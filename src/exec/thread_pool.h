@@ -1,9 +1,9 @@
 // Fixed-size work-stealing thread pool — the execution substrate behind
-// the parallel GAC, join, and portfolio kernels. Each worker owns a deque:
-// the owner pushes and pops at the back (LIFO, cache-warm), idle workers
-// steal from the front of a victim's deque (FIFO, oldest first), so
-// recursive fan-out (the Yannakakis subtree reducer) load-balances without
-// a global queue bottleneck.
+// the serving layer's request work and the parallel natural join. Each
+// worker owns a deque: the owner pushes and pops at the back (LIFO,
+// cache-warm), idle workers steal from the front of a victim's deque
+// (FIFO, oldest first), so nested fork/join load-balances without a
+// global queue bottleneck.
 //
 // Scheduling primitives:
 //   * Submit(fn)            — fire-and-forget task.

@@ -105,15 +105,30 @@ void NetServer::Shutdown() {
     draining_ = true;
     drain_deadline_ms_ = NowMs() + options_.drain_timeout_ms;
     if (listen_fd_ >= 0) {
+      // Connections that completed their handshake are already queued in
+      // the backlog, and their clients may have sent requests: take them
+      // before closing the listener resets them.
+      HandleAccept();
       loop_.RemoveFd(listen_fd_);
       close(listen_fd_);
       listen_fd_ = -1;
     }
-    // Close everything already quiescent; busy connections close as
-    // their responses complete and flush (Tick enforces the deadline).
+    // Bytes already in a socket buffer are requests the client sent
+    // before the drain: read and dispatch them now (this task may run
+    // before the loop sees their EPOLLIN). Paused connections keep their
+    // backpressure; they have requests in flight and are not idle.
+    std::vector<uint64_t> ids;
+    for (const auto& [id, conn] : conns_) {
+      if (!conn->paused) ids.push_back(id);
+    }
+    for (uint64_t id : ids) HandleConnEvent(id, EPOLLIN);
+    // Close everything quiescent; busy connections close as their
+    // responses complete and flush, and a connection holding a partial
+    // frame waits for the rest (Tick enforces the deadline on both).
     std::vector<uint64_t> idle;
     for (const auto& [id, conn] : conns_) {
-      if (conn->in_flight == 0 && conn->out_offset == conn->out.size()) {
+      if (conn->in_flight == 0 && conn->out_offset == conn->out.size() &&
+          conn->in.buffered_bytes() == 0) {
         idle.push_back(id);
       }
     }
@@ -185,6 +200,7 @@ void NetServer::HandleConnEvent(uint64_t id, uint32_t events) {
 }
 
 void NetServer::ProcessFrames(Conn* conn) {
+  const uint64_t id = conn->id;
   while (!conn->closing &&
          conn->in_flight < options_.max_in_flight_per_connection) {
     Frame frame;
@@ -217,6 +233,9 @@ void NetServer::ProcessFrames(Conn* conn) {
         FailConn(conn, frame.request_id, "unexpected frame type");
         return;
     }
+    // Sending (a pong, or a bad request's error frame) may have closed
+    // and freed the connection.
+    if (conns_.find(id) == conns_.end()) return;
   }
   // Out of the loop with frames possibly still buffered: at the
   // in-flight bound. Stop reading until completions make room.
@@ -357,7 +376,8 @@ void NetServer::FlushWrites(Conn* conn) {
   }
   conn->out.clear();
   conn->out_offset = 0;
-  if (conn->closing || (draining_ && conn->in_flight == 0)) {
+  if (conn->closing ||
+      (draining_ && conn->in_flight == 0 && conn->in.buffered_bytes() == 0)) {
     CloseConn(conn->id);
     return;
   }

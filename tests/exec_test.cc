@@ -120,22 +120,6 @@ TEST(Cancellation, DeadlineFires) {
   EXPECT_TRUE(token.cancelled());
 }
 
-TEST(Cancellation, ParentChainPropagates) {
-  CancellationToken parent;
-  CancellationToken child;
-  child.set_parent(&parent);
-  EXPECT_FALSE(child.cancelled());
-  parent.RequestCancel();
-  EXPECT_TRUE(child.cancelled());
-  EXPECT_TRUE(parent.cancelled());
-  // Child's own flag is independent of the parent's.
-  parent.Reset();
-  EXPECT_FALSE(child.cancelled());
-  child.RequestCancel();
-  EXPECT_TRUE(child.cancelled());
-  EXPECT_FALSE(parent.cancelled());
-}
-
 TEST(Cancellation, TokenStopsPoolWorkCooperatively) {
   ThreadPool pool(4);
   CancellationToken token;

@@ -4,10 +4,10 @@
 //
 //   * EnforceGac / EnforceSingletonArcConsistency (bitset domains,
 //     compact-table support masks) vs the byte-map tuple-scanning
-//     kernels in consistency/reference_gac.h — identical consistency
+//     kernels in oracles/reference_gac.h — identical consistency
 //     verdicts, identical fixpoint domains, identical pruning counts.
 //   * NaturalJoin / Semijoin / Project / JoinAll on the flat-storage
-//     DbRelation vs the Tuple-per-row kernels in db/reference_join.h —
+//     DbRelation vs the Tuple-per-row kernels in oracles/reference_join.h —
 //     identical schemas and row sets.
 //
 // Revision counters are deliberately NOT compared: the engines schedule
@@ -22,13 +22,13 @@
 #include <gtest/gtest.h>
 
 #include "consistency/arc_consistency.h"
-#include "consistency/reference_gac.h"
 #include "csp/convert.h"
 #include "csp/instance.h"
 #include "db/algebra.h"
-#include "db/reference_join.h"
 #include "db/relation.h"
 #include "gen/generators.h"
+#include "oracles/reference_gac.h"
+#include "oracles/reference_join.h"
 #include "util/rng.h"
 
 namespace cspdb {

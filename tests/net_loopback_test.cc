@@ -321,5 +321,55 @@ TEST(NetLoopback, ShutdownDrainsInFlightRequests) {
   EXPECT_EQ(reply->type, FrameType::kResponse);
 }
 
+TEST(NetLoopback, ShutdownAnswersEveryRequestAlreadySent) {
+  // Several clients each send one request, then the drain starts at
+  // once. When the drain task runs, some of those requests may still sit
+  // unread in their socket buffers, and some connections may still wait
+  // in the listen backlog; every request was sent before Shutdown() and
+  // must be answered, not reset. Whether a given round hits that window
+  // is up to the scheduler, so the scenario runs several rounds.
+  exec::ThreadPool pool(2);
+  ServiceOptions service_options;
+  service_options.pool = &pool;
+  CspdbService service(service_options);
+  constexpr int kConnections = 8;
+  const std::vector<ServiceRequest> stream = ZipfStream(kConnections);
+  for (int round = 0; round < 10; ++round) {
+    ServerOptions server_options;
+    server_options.pool = &pool;
+    NetServer server(&service, server_options);
+    std::string error;
+    ASSERT_TRUE(server.Start(&error)) << error;
+
+    std::vector<std::unique_ptr<Connection>> conns;
+    for (int i = 0; i < kConnections; ++i) {
+      conns.push_back(Connection::Dial(server.address(), 2000, &error));
+      ASSERT_NE(conns.back(), nullptr) << error;
+    }
+    for (int i = 0; i < kConnections; ++i) {
+      Frame frame;
+      frame.type = FrameType::kRequest;
+      frame.request_id = static_cast<uint64_t>(i) + 1;
+      EncodeRequestPayload(stream[i], &frame.payload);
+      std::vector<uint8_t> bytes;
+      AppendFrame(frame, &bytes);
+      ASSERT_TRUE(conns[i]->SendBytes(bytes.data(), bytes.size(), &error))
+          << error;
+    }
+    // Shutdown() returns once every connection has closed; a drained
+    // connection closes only after its response was written, so each
+    // response is already waiting in its client's socket buffer.
+    server.Shutdown();
+    for (int i = 0; i < kConnections; ++i) {
+      std::optional<Frame> reply = conns[i]->ReadFrame(2000, &error);
+      ASSERT_TRUE(reply.has_value())
+          << "round " << round << " connection " << i << ": " << error;
+      EXPECT_EQ(reply->type, FrameType::kResponse);
+      EXPECT_EQ(reply->request_id, static_cast<uint64_t>(i) + 1);
+    }
+    EXPECT_EQ(server.stats().requests_dispatched, kConnections);
+  }
+}
+
 }  // namespace
 }  // namespace cspdb::net

@@ -1,20 +1,12 @@
-// Differential tests pinning the parallel kernels to their serial twins
-// (the execution layer's determinism contract, DESIGN.md):
+// Differential tests pinning the parallel natural join to its serial
+// twin (the execution layer's determinism contract, DESIGN.md):
+// NaturalJoinParallel must return output bit-identical to NaturalJoin,
+// row order included, for every partition count, morsel size, and build
+// path (partitioned build order plus morsel-ordered concatenation
+// reproduce the serial probe order).
 //
-//   * EnforceGacParallel vs EnforceGac: identical consistency verdicts,
-//     and on consistent instances bit-identical fixpoint domains and
-//     equal pruning counts (the GAC fixpoint is unique; each dead value
-//     is CAS-cleared exactly once).
-//   * NaturalJoinParallel / SemijoinParallel vs the serial kernels:
-//     bit-identical output including row order (stripe-ordered
-//     concatenation reproduces the serial probe order).
-//   * FullReducerParallel vs FullReducer: identical reduced relations and
-//     stats totals (semijoins into one parent commute exactly).
-//   * SolvePortfolio: the winning answer always agrees with a serial
-//     complete solver on satisfiability, and solutions verify.
-//
-// Thresholds are forced to zero so the parallel paths run even on the
-// small corpus instances; the pool is a local 4-worker pool so the tests
+// Thresholds are forced to zero so the parallel path runs even on the
+// small corpus relations; the pool is a local 4-worker pool so the tests
 // exercise real concurrency regardless of the machine's core count.
 
 #include <cstdint>
@@ -23,20 +15,10 @@
 
 #include <gtest/gtest.h>
 
-#include "consistency/arc_consistency.h"
-#include "consistency/parallel_gac.h"
-#include "csp/backjump_solver.h"
-#include "csp/convert.h"
-#include "csp/instance.h"
-#include "csp/portfolio_solver.h"
-#include "csp/solver.h"
-#include "db/acyclic.h"
 #include "db/algebra.h"
 #include "db/parallel_algebra.h"
 #include "db/relation.h"
-#include "exec/cancellation.h"
 #include "exec/thread_pool.h"
-#include "gen/generators.h"
 #include "util/rng.h"
 
 namespace cspdb {
@@ -47,129 +29,12 @@ exec::ThreadPool& TestPool() {
   return *pool;
 }
 
-ParallelGacOptions ForcedGacOptions() {
-  ParallelGacOptions options;
-  options.pool = &TestPool();
-  options.min_constraints = 0;
-  return options;
-}
-
 ParallelDbOptions ForcedDbOptions() {
   ParallelDbOptions options;
   options.pool = &TestPool();
   options.min_probe_rows = 0;
-  options.min_forest_nodes = 0;
   return options;
 }
-
-// The CSP corpus recipes shared with analysis_fuzz_test.cc /
-// kernel_differential_test.cc.
-CspInstance BinaryCorpusInstance(uint64_t seed) {
-  Rng rng(1000 + seed);
-  int n = 6 + static_cast<int>(seed % 5);
-  int d = 2 + static_cast<int>(seed % 3);
-  int max_constraints = n * (n - 1) / 2;
-  int m = std::min(max_constraints, n + static_cast<int>(seed % n));
-  double tightness = 0.15 + 0.04 * static_cast<double>(seed % 10);
-  return RandomBinaryCsp(n, d, m, tightness, &rng);
-}
-
-CspInstance TreewidthCorpusInstance(uint64_t seed) {
-  Rng rng(7000 + seed);
-  int n = 8 + static_cast<int>(seed % 6);
-  int k = 2 + static_cast<int>(seed % 2);
-  int d = 2 + static_cast<int>(seed % 3);
-  double tightness = 0.1 + 0.05 * static_cast<double>(seed % 8);
-  return RandomTreewidthCsp(n, k, d, tightness, 0.85, &rng);
-}
-
-CspInstance HomCorpusInstance(uint64_t seed) {
-  Rng rng(31000 + seed);
-  Structure a = RandomDigraph(5 + static_cast<int>(seed % 3), 0.35, &rng);
-  Structure b = RandomDigraph(3, 0.6, &rng, /*allow_loops=*/true);
-  return ToCspInstance(a, b);
-}
-
-void ExpectParallelGacAgrees(const CspInstance& csp,
-                             const std::string& label) {
-  AcResult serial = EnforceGac(csp);
-  AcResult parallel = EnforceGacParallel(csp, ForcedGacOptions());
-  EXPECT_TRUE(parallel.complete) << label;
-  ASSERT_EQ(parallel.consistent, serial.consistent) << label;
-  if (!serial.consistent) return;  // partial wipeout domains are racy
-  ASSERT_EQ(parallel.domains.size(), serial.domains.size()) << label;
-  for (std::size_t v = 0; v < serial.domains.size(); ++v) {
-    EXPECT_EQ(parallel.domains[v], serial.domains[v])
-        << label << " variable " << v;
-  }
-  EXPECT_EQ(parallel.prunings, serial.prunings) << label;
-}
-
-TEST(ParallelDifferential, GacMatchesSerialOnBinaryCorpus) {
-  for (uint64_t seed = 0; seed < 120; ++seed) {
-    ExpectParallelGacAgrees(BinaryCorpusInstance(seed),
-                            "binary seed " + std::to_string(seed));
-  }
-}
-
-TEST(ParallelDifferential, GacMatchesSerialOnTreewidthCorpus) {
-  for (uint64_t seed = 0; seed < 60; ++seed) {
-    ExpectParallelGacAgrees(TreewidthCorpusInstance(seed),
-                            "treewidth seed " + std::to_string(seed));
-  }
-}
-
-TEST(ParallelDifferential, GacMatchesSerialOnHomCorpus) {
-  for (uint64_t seed = 0; seed < 40; ++seed) {
-    ExpectParallelGacAgrees(HomCorpusInstance(seed),
-                            "hom seed " + std::to_string(seed));
-  }
-}
-
-TEST(ParallelDifferential, GacMatchesSerialOnDuplicateScopes) {
-  for (uint64_t seed = 0; seed < 40; ++seed) {
-    Rng rng(91000 + seed);
-    int n = 4 + static_cast<int>(seed % 3);
-    int d = 2 + static_cast<int>(seed % 3);
-    CspInstance csp(n, d);
-    int m = 4 + static_cast<int>(seed % 5);
-    for (int c = 0; c < m; ++c) {
-      int arity = rng.UniformInt(2, 3);
-      std::vector<int> scope;
-      for (int q = 0; q < arity; ++q) {
-        scope.push_back(rng.UniformInt(0, n - 1));
-      }
-      std::vector<Tuple> allowed;
-      int num_tuples = rng.UniformInt(1, 2 * d);
-      for (int t = 0; t < num_tuples; ++t) {
-        Tuple tuple;
-        for (int q = 0; q < arity; ++q) {
-          tuple.push_back(rng.UniformInt(0, d - 1));
-        }
-        allowed.push_back(std::move(tuple));
-      }
-      csp.AddConstraint(std::move(scope), std::move(allowed));
-    }
-    ExpectParallelGacAgrees(csp, "dup seed " + std::to_string(seed));
-  }
-}
-
-TEST(ParallelDifferential, CancelledGacReportsIncompleteButSound) {
-  exec::CancellationToken token;
-  token.RequestCancel();
-  ParallelGacOptions options = ForcedGacOptions();
-  options.cancel = &token;
-  CspInstance csp = BinaryCorpusInstance(1);
-  AcResult result = EnforceGacParallel(csp, options);
-  EXPECT_FALSE(result.complete);
-  // Pre-cancelled: nothing pruned, domains are the sound full superset.
-  for (const Bitset& domain : result.domains) {
-    EXPECT_EQ(domain.Count(), csp.num_values());
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Relational kernels.
 
 DbRelation RandomRelation(std::vector<int> schema, int num_values,
                           int num_rows, Rng* rng) {
@@ -215,18 +80,15 @@ TEST(ParallelDifferential, JoinAndSemijoinBitIdenticalToSerial) {
                                   num_values, rng.UniformInt(0, 200), &rng);
     ExpectIdenticalRelations(NaturalJoinParallel(r, s, ForcedDbOptions()),
                              NaturalJoin(r, s), label + " join");
-    ExpectIdenticalRelations(SemijoinParallel(r, s, ForcedDbOptions()),
-                             Semijoin(r, s), label + " semijoin");
   }
 }
 
 TEST(ParallelDifferential, JoinCorpusPartitionedAndStripedMatchSerial) {
-  // The full 250-seed join corpus, probed through BOTH parallel designs
-  // (radix-partitioned and the frozen striped baseline) with seed-varied
-  // partition counts (including non-powers-of-two, which the index
-  // rounds up), morsel sizes down to one row, and the forced
-  // three-pass parallel build on every other seed. Every combination
-  // must reproduce the serial bytes exactly.
+  // The full 250-seed join corpus with seed-varied partition counts
+  // (including non-powers-of-two, which the index rounds up), morsel
+  // sizes down to one row, and the forced three-pass parallel build on
+  // every other seed. Every combination must reproduce the serial bytes
+  // exactly.
   const std::size_t partition_choices[] = {0, 1, 3, 8, 64};
   const std::size_t morsel_choices[] = {1, 37, 2048};
   for (uint64_t seed = 0; seed < 250; ++seed) {
@@ -241,16 +103,8 @@ TEST(ParallelDifferential, JoinCorpusPartitionedAndStripedMatchSerial) {
     options.num_partitions = partition_choices[seed % 5];
     options.morsel_rows = morsel_choices[seed % 3];
     options.force_parallel_build = (seed % 2) == 1;
-    DbRelation join = NaturalJoin(r, s);
-    DbRelation semi = Semijoin(r, s);
-    ExpectIdenticalRelations(NaturalJoinParallel(r, s, options), join,
-                             label + " partitioned join");
-    ExpectIdenticalRelations(SemijoinParallel(r, s, options), semi,
-                             label + " partitioned semijoin");
-    ExpectIdenticalRelations(NaturalJoinStriped(r, s, options), join,
-                             label + " striped join");
-    ExpectIdenticalRelations(SemijoinStriped(r, s, options), semi,
-                             label + " striped semijoin");
+    ExpectIdenticalRelations(NaturalJoinParallel(r, s, options),
+                             NaturalJoin(r, s), label + " partitioned join");
   }
 }
 
@@ -267,8 +121,6 @@ TEST(ParallelDifferential, JoinEdgeShapesMatchSerial) {
   for (int i = 0; i < 200; ++i) s.AddRow({3, rng.UniformInt(0, 5)});
   ExpectIdenticalRelations(NaturalJoinParallel(r, s, options),
                            NaturalJoin(r, s), "single-key join");
-  ExpectIdenticalRelations(SemijoinParallel(r, s, options), Semijoin(r, s),
-                           "single-key semijoin");
 
   // Empty probe side, empty build side.
   DbRelation empty_r({0, 1});
@@ -277,26 +129,18 @@ TEST(ParallelDifferential, JoinEdgeShapesMatchSerial) {
                            NaturalJoin(empty_r, s), "empty probe join");
   ExpectIdenticalRelations(NaturalJoinParallel(r, empty_s, options),
                            NaturalJoin(r, empty_s), "empty build join");
-  ExpectIdenticalRelations(SemijoinParallel(empty_r, s, options),
-                           Semijoin(empty_r, s), "empty probe semijoin");
-  ExpectIdenticalRelations(SemijoinParallel(r, empty_s, options),
-                           Semijoin(r, empty_s), "empty build semijoin");
 
   // No shared attributes: a cross product, every probe row hits the one
   // chain set of the single trivial key.
   DbRelation t = RandomRelation({7, 8}, 4, 50, &rng);
   ExpectIdenticalRelations(NaturalJoinParallel(r, t, options),
                            NaturalJoin(r, t), "cross join");
-  ExpectIdenticalRelations(SemijoinParallel(r, t, options), Semijoin(r, t),
-                           "cross semijoin");
 
   // Identical schemas: the whole row is the key (multi-column compare
   // path) and the join has no payload columns at all.
   DbRelation u = RandomRelation({0, 1}, 6, 250, &rng);
   ExpectIdenticalRelations(NaturalJoinParallel(r, u, options),
                            NaturalJoin(r, u), "same-schema join");
-  ExpectIdenticalRelations(SemijoinParallel(r, u, options), Semijoin(r, u),
-                           "same-schema semijoin");
 }
 
 TEST(ParallelDifferential, JoinBitIdenticalAcrossPartitionAndMorselKnobs) {
@@ -313,7 +157,6 @@ TEST(ParallelDifferential, JoinBitIdenticalAcrossPartitionAndMorselKnobs) {
     s.AddRow({s_key, rng.UniformInt(0, 9)});
   }
   const DbRelation join = NaturalJoin(r, s);
-  const DbRelation semi = Semijoin(r, s);
   for (std::size_t partitions : {1u, 2u, 8u, 256u}) {
     for (std::size_t morsel : {1u, 7u, 4096u}) {
       ParallelDbOptions options = ForcedDbOptions();
@@ -323,8 +166,6 @@ TEST(ParallelDifferential, JoinBitIdenticalAcrossPartitionAndMorselKnobs) {
                                 " morsel=" + std::to_string(morsel);
       ExpectIdenticalRelations(NaturalJoinParallel(r, s, options), join,
                                label + " join");
-      ExpectIdenticalRelations(SemijoinParallel(r, s, options), semi,
-                               label + " semijoin");
     }
   }
 }
@@ -340,7 +181,6 @@ TEST(ParallelDifferential, ForcedParallelBuildBitIdenticalToSerialBuild) {
   DbRelation r = RandomRelation({0, 1, 2}, 32, 6000, &rng);
   DbRelation s = RandomRelation({2, 3}, 32, 5000, &rng);
   const DbRelation join = NaturalJoin(r, s);
-  const DbRelation semi = Semijoin(r, s);
   for (std::size_t partitions : {1u, 8u, 64u}) {
     ParallelDbOptions options = ForcedDbOptions();
     options.force_parallel_build = true;
@@ -350,14 +190,12 @@ TEST(ParallelDifferential, ForcedParallelBuildBitIdenticalToSerialBuild) {
         "forced build P=" + std::to_string(partitions);
     ExpectIdenticalRelations(NaturalJoinParallel(r, s, options), join,
                              label + " join");
-    ExpectIdenticalRelations(SemijoinParallel(r, s, options), semi,
-                             label + " semijoin");
   }
 }
 
 TEST(ParallelDifferential, LargeJoinCrossesStripeBoundaries) {
-  // Big enough that every worker gets several stripes, with key skew so
-  // stripes produce different output sizes.
+  // Big enough that every worker gets several probe morsels, with key
+  // skew so morsels produce different output sizes.
   Rng rng(60001);
   DbRelation r = RandomRelation({0, 1}, 8, 20000, &rng);
   DbRelation s = RandomRelation({1, 2}, 8, 5000, &rng);
@@ -365,150 +203,6 @@ TEST(ParallelDifferential, LargeJoinCrossesStripeBoundaries) {
   options.pool = &TestPool();  // default min_probe_rows: threshold crossed
   ExpectIdenticalRelations(NaturalJoinParallel(r, s, options),
                            NaturalJoin(r, s), "large join");
-  ExpectIdenticalRelations(SemijoinParallel(r, s, options), Semijoin(r, s),
-                           "large semijoin");
-}
-
-TEST(ParallelDifferential, FullReducerMatchesSerialOnAcyclicSchemas) {
-  for (uint64_t seed = 0; seed < 40; ++seed) {
-    const std::string label = "reducer seed " + std::to_string(seed);
-    Rng rng(77000 + seed);
-    // A path schema R_i(a_i, a_i+1) is alpha-acyclic by construction.
-    int chain = 3 + static_cast<int>(seed % 5);
-    std::vector<DbRelation> serial_rels;
-    for (int i = 0; i < chain; ++i) {
-      serial_rels.push_back(
-          RandomRelation({i, i + 1}, 4, rng.UniformInt(5, 60), &rng));
-    }
-    std::vector<DbRelation> parallel_rels = serial_rels;
-    auto forest = BuildJoinForest(HypergraphOfSchemas(serial_rels));
-    ASSERT_TRUE(forest.has_value()) << label;
-
-    YannakakisStats serial_stats;
-    YannakakisStats parallel_stats;
-    FullReducer(*forest, &serial_rels, &serial_stats);
-    FullReducerParallel(*forest, &parallel_rels, ForcedDbOptions(),
-                        &parallel_stats);
-    for (int i = 0; i < chain; ++i) {
-      ExpectIdenticalRelations(parallel_rels[i], serial_rels[i],
-                               label + " relation " + std::to_string(i));
-    }
-    EXPECT_EQ(parallel_stats.semijoin_passes, serial_stats.semijoin_passes)
-        << label;
-    EXPECT_EQ(parallel_stats.rows_removed, serial_stats.rows_removed)
-        << label;
-    EXPECT_EQ(parallel_stats.peak_reduced_rows,
-              serial_stats.peak_reduced_rows)
-        << label;
-    EXPECT_EQ(AcyclicJoinNonemptyParallel(*forest, parallel_rels,
-                                          ForcedDbOptions()),
-              AcyclicJoinNonempty(*forest, serial_rels))
-        << label;
-  }
-}
-
-TEST(ParallelDifferential, FullReducerMatchesSerialOnStarSchemas) {
-  // A star R_0(c, a_1), ..., R_k(c, a_k): every leaf semijoins into the
-  // same hub, exercising the per-parent mutex commutation argument.
-  for (uint64_t seed = 0; seed < 20; ++seed) {
-    const std::string label = "star seed " + std::to_string(seed);
-    Rng rng(88000 + seed);
-    int leaves = 4 + static_cast<int>(seed % 5);
-    std::vector<DbRelation> serial_rels;
-    serial_rels.push_back(RandomRelation({0, 1}, 5, 80, &rng));  // hub
-    for (int i = 0; i < leaves; ++i) {
-      serial_rels.push_back(
-          RandomRelation({0, 100 + i}, 5, rng.UniformInt(5, 40), &rng));
-    }
-    std::vector<DbRelation> parallel_rels = serial_rels;
-    auto forest = BuildJoinForest(HypergraphOfSchemas(serial_rels));
-    ASSERT_TRUE(forest.has_value()) << label;
-    FullReducer(*forest, &serial_rels);
-    FullReducerParallel(*forest, &parallel_rels, ForcedDbOptions());
-    for (std::size_t i = 0; i < serial_rels.size(); ++i) {
-      ExpectIdenticalRelations(parallel_rels[i], serial_rels[i],
-                               label + " relation " + std::to_string(i));
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Portfolio solver.
-
-TEST(ParallelDifferential, PortfolioAgreesWithSerialSolver) {
-  PortfolioOptions options;
-  options.pool = &TestPool();
-  for (uint64_t seed = 0; seed < 60; ++seed) {
-    const std::string label = "portfolio seed " + std::to_string(seed);
-    CspInstance csp = BinaryCorpusInstance(seed);
-    BacktrackingSolver serial(csp);
-    const bool sat = serial.Solve().has_value();
-    PortfolioResult result = SolvePortfolio(csp, options);
-    ASSERT_TRUE(result.complete) << label;
-    EXPECT_EQ(result.solution.has_value(), sat) << label;
-    EXPECT_GE(result.winner, 0) << label;
-    if (result.solution.has_value()) {
-      // SolvePortfolio CHECKs this internally too; assert from the test
-      // side so a regression fails rather than aborts.
-      EXPECT_TRUE(csp.IsSolution(*result.solution)) << label;
-    }
-  }
-}
-
-TEST(ParallelDifferential, PortfolioHonorsExternalCancellation) {
-  exec::CancellationToken token;
-  token.RequestCancel();
-  PortfolioOptions options;
-  options.pool = &TestPool();
-  options.cancel = &token;
-  // Loose constraints: no wipeout in the pre-search propagation pass (the
-  // one decisive path that needs no search nodes), so every racer reaches
-  // its first node-0 cancellation poll and aborts.
-  Rng rng(424242);
-  CspInstance csp = RandomBinaryCsp(40, 6, 300, 0.15, &rng);
-  PortfolioResult result = SolvePortfolio(csp, options);
-  EXPECT_FALSE(result.complete);
-  EXPECT_EQ(result.winner, -1);
-  EXPECT_FALSE(result.solution.has_value());
-}
-
-TEST(ParallelDifferential, PortfolioConfigNamesAreStable) {
-  for (int i = 0; i < kNumPortfolioConfigs; ++i) {
-    EXPECT_STRNE(PortfolioConfigName(i), "unknown") << i;
-  }
-  EXPECT_STREQ(PortfolioConfigName(kNumPortfolioConfigs), "unknown");
-}
-
-TEST(ParallelDifferential, SolverCancellationAborts) {
-  // Loose constraints (see PortfolioHonorsExternalCancellation): the
-  // abort must come from the node-0 cancellation poll, not a wipeout.
-  Rng rng(515151);
-  CspInstance csp = RandomBinaryCsp(40, 6, 300, 0.15, &rng);
-  exec::CancellationToken token;
-  token.RequestCancel();
-  SolverOptions options;
-  options.cancel = &token;
-  BacktrackingSolver solver(csp, options);
-  EXPECT_FALSE(solver.Solve().has_value());
-  EXPECT_TRUE(solver.stats().aborted);
-
-  BackjumpOptions bj_options;
-  bj_options.cancel = &token;
-  BackjumpSolver bj(csp, bj_options);
-  EXPECT_FALSE(bj.Solve().has_value());
-  EXPECT_TRUE(bj.stats().aborted);
-}
-
-TEST(ParallelDifferential, ShuffledValueOrderStaysComplete) {
-  for (uint64_t seed = 0; seed < 30; ++seed) {
-    CspInstance csp = BinaryCorpusInstance(seed);
-    BacktrackingSolver plain(csp);
-    SolverOptions shuffled_options;
-    shuffled_options.value_order_seed = 0xdeadbeefull + seed;
-    BacktrackingSolver shuffled(csp, shuffled_options);
-    EXPECT_EQ(shuffled.Solve().has_value(), plain.Solve().has_value())
-        << "seed " << seed;
-  }
 }
 
 }  // namespace

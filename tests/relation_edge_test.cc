@@ -60,8 +60,6 @@ TEST(RelationEdge, ParallelKernelsHandleEmptySides) {
   full.AddRow(Tuple{1, 2});
   EXPECT_TRUE(NaturalJoinParallel(empty, full, options).empty());
   EXPECT_TRUE(NaturalJoinParallel(full, empty, options).empty());
-  EXPECT_TRUE(SemijoinParallel(empty, full, options).empty());
-  EXPECT_TRUE(SemijoinParallel(full, empty, options).empty());
 }
 
 TEST(RelationEdge, ArityZeroRelations) {

@@ -8,6 +8,7 @@
 #include "boolean/hell_nesetril.h"
 #include "csp/convert.h"
 #include "csp/solver.h"
+#include "exec/cancellation.h"
 #include "gen/generators.h"
 #include "relational/homomorphism.h"
 #include "util/rng.h"
@@ -153,6 +154,21 @@ TEST(Solver, NodeLimitAborts) {
     EXPECT_FALSE(result.has_value());
     EXPECT_LE(solver.stats().nodes, 6);
   }
+}
+
+TEST(Solver, CancellationAborts) {
+  // Loose constraints: no wipeout in the pre-search propagation pass, so
+  // the abort must come from the node-0 cancellation poll — the poll the
+  // serving layer's per-request deadline relies on.
+  Rng rng(515151);
+  CspInstance csp = RandomBinaryCsp(40, 6, 300, 0.15, &rng);
+  exec::CancellationToken token;
+  token.RequestCancel();
+  SolverOptions options;
+  options.cancel = &token;
+  BacktrackingSolver solver(csp, options);
+  EXPECT_FALSE(solver.Solve().has_value());
+  EXPECT_TRUE(solver.stats().aborted);
 }
 
 TEST(Solver, MacPrunesMoreThanPlain) {
