@@ -334,15 +334,12 @@ int RunServer(const Flags& flags) {
                    flags.listen.c_str());
       return 2;
     }
-    net::RouterOptions router_options;
-    router_options.request_timeout_ns = flags.timeout_ms * 1'000'000;
     router = std::make_unique<net::ShardRouter>(&service, flags.listen,
-                                                members, router_options);
+                                                members);
   }
 
   net::ServerOptions server_options;
   server_options.listen_address = flags.listen;
-  server_options.request_timeout_ns = flags.timeout_ms * 1'000'000;
   net::NetServer server(&service, server_options);
   if (router != nullptr) server.set_router(router.get());
   std::string error;

@@ -17,6 +17,16 @@
 namespace cspdb::net {
 namespace {
 
+// PeerClient tuning.
+constexpr int64_t kPeerDialTimeoutMs = 500;
+constexpr int64_t kPeerCallTimeoutMs = 2000;
+// Dial-or-call attempts per PeerClient::Call() before giving up.
+constexpr int kPeerMaxAttempts = 2;
+// First backoff window after a failed attempt run; doubles per
+// consecutive failure up to kPeerBackoffMaxMs.
+constexpr int64_t kPeerBackoffBaseMs = 50;
+constexpr int64_t kPeerBackoffMaxMs = 2000;
+
 int64_t NowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -225,8 +235,7 @@ bool Connection::Ping(uint64_t request_id, int64_t timeout_ms,
   return true;
 }
 
-PeerClient::PeerClient(std::string address, PeerClientOptions options)
-    : address_(std::move(address)), options_(options) {}
+PeerClient::PeerClient(std::string address) : address_(std::move(address)) {}
 
 bool PeerClient::down() const {
   util::MutexLock lock(mu_);
@@ -261,13 +270,13 @@ std::optional<service::Response> PeerClient::Call(
   }
 
   std::optional<service::Response> response;
-  for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kPeerMaxAttempts; ++attempt) {
     if (conn == nullptr || conn->broken()) {
-      conn = Connection::Dial(address_, options_.dial_timeout_ms, error);
+      conn = Connection::Dial(address_, kPeerDialTimeoutMs, error);
       if (conn == nullptr) continue;
     }
-    response = conn->Call(request, request_id, flags,
-                          options_.call_timeout_ms, error);
+    response =
+        conn->Call(request, request_id, flags, kPeerCallTimeoutMs, error);
     if (response.has_value()) break;
   }
 
@@ -282,12 +291,12 @@ std::optional<service::Response> PeerClient::Call(
   // All attempts failed: open a backoff window that doubles per
   // consecutive failed Call(), so a dead peer degrades to one cheap
   // failure per window.
-  int64_t backoff = options_.backoff_base_ms;
-  for (int i = 0; i < consecutive_failures_ && backoff < options_.backoff_max_ms;
+  int64_t backoff = kPeerBackoffBaseMs;
+  for (int i = 0; i < consecutive_failures_ && backoff < kPeerBackoffMaxMs;
        ++i) {
     backoff *= 2;
   }
-  if (backoff > options_.backoff_max_ms) backoff = options_.backoff_max_ms;
+  if (backoff > kPeerBackoffMaxMs) backoff = kPeerBackoffMaxMs;
   ++consecutive_failures_;
   down_until_ms_ = NowMs() + backoff;
   CSPDB_COUNT("net.peer.marked_down");

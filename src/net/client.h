@@ -65,21 +65,11 @@ class Connection {
   FrameAssembler assembler_;
 };
 
-struct PeerClientOptions {
-  int64_t dial_timeout_ms = 500;
-  int64_t call_timeout_ms = 2000;
-  /// Dial-or-call attempts per Call() before giving up.
-  int max_attempts = 2;
-  /// First backoff window after a failed attempt run; doubles per
-  /// consecutive failure up to backoff_max_ms.
-  int64_t backoff_base_ms = 50;
-  int64_t backoff_max_ms = 2000;
-};
-
-/// Thread-safe reconnecting client for one peer.
+/// Thread-safe reconnecting client for one peer. Dial and call timeouts,
+/// attempts per call and the backoff window are fixed (net/client.cc).
 class PeerClient {
  public:
-  PeerClient(std::string address, PeerClientOptions options = {});
+  explicit PeerClient(std::string address);
 
   /// Calls the peer, dialing if needed. Fails fast (no network traffic)
   /// while the peer is marked down, and also while another thread is
@@ -98,7 +88,6 @@ class PeerClient {
 
  private:
   const std::string address_;
-  const PeerClientOptions options_;
 
   mutable util::Mutex mu_;
   /// Moved out under mu_ by the calling thread (busy_ set), used without

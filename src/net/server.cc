@@ -25,18 +25,10 @@ int64_t NowMs() {
       .count();
 }
 
-// Flow ids for "net.request" arrows. Process-wide, not per-server: the
-// in-process two-node tests share one tracer, and a (name, id) flow key
-// reused across servers would corrupt the trace.
-std::atomic<uint64_t> g_net_flow_id{1};
-
 }  // namespace
 
 NetServer::NetServer(service::CspdbService* service, ServerOptions options)
-    : service_(service),
-      options_(std::move(options)),
-      pool_(options_.pool != nullptr ? options_.pool
-                                     : &exec::ThreadPool::Global()) {}
+    : service_(service), options_(std::move(options)) {}
 
 NetServer::~NetServer() { Shutdown(); }
 
@@ -137,9 +129,8 @@ void NetServer::Shutdown() {
   });
   loop_thread_.join();
   // The loop is gone, but request work may still be running on pool
-  // threads — router-path tasks and service Submit callbacks alike
-  // (their posted completions are simply never drained). Both capture
-  // `this`, so destruction must wait for them.
+  // threads (its posted completions are simply never drained). Its
+  // Submit callbacks capture `this`, so destruction must wait for them.
   util::MutexLock lock(pool_tasks_mu_);
   while (pool_tasks_ > 0) pool_tasks_cv_.Wait(pool_tasks_mu_);
 }
@@ -262,57 +253,35 @@ void NetServer::DispatchRequest(Conn* conn, Frame frame) {
   const uint64_t conn_id = conn->id;
   const uint64_t wire_id = frame.request_id;
 
-  if (router_ != nullptr && (frame.flags & kFlagNoForward) == 0) {
-    // Client-facing request on a clustered node: the router probes the
-    // local cache and may consult the owner shard — blocking work, so it
-    // runs as a pool task. The flow arrow ties the dispatch here to the
-    // pool-thread handling in the trace.
-    const uint64_t flow_id =
-        g_net_flow_id.fetch_add(1, std::memory_order_relaxed);
-    {
-      CSPDB_TRACE_SPAN("net.dispatch");
-      CSPDB_TRACE_FLOW_BEGIN("net.request", flow_id);
-      {
-        util::MutexLock lock(pool_tasks_mu_);
-        ++pool_tasks_;
-      }
-      pool_->Submit([this, conn_id, wire_id, flow_id,
-                     request = std::move(*request)]() mutable {
-        {
-          CSPDB_TRACE_SPAN("net.handle");
-          CSPDB_TRACE_FLOW_END("net.request", flow_id);
-          service::Response response = router_->Handle(request);
-          loop_.Post([this, conn_id, wire_id,
-                      response = std::move(response)] {
-            CompleteRequest(conn_id, wire_id, response);
-          });
-        }
-        util::MutexLock lock(pool_tasks_mu_);
-        if (--pool_tasks_ == 0) pool_tasks_cv_.NotifyAll();
-      });
-    }
-    return;
+  // Every request takes the service's admission-controlled async path.
+  // Client-facing frames on a clustered node carry the router's owner
+  // hop; peer forwards (kFlagNoForward) and unclustered nodes compute
+  // here. The callback runs on a pool thread (inline here on admission
+  // rejection); the response hops back to the loop thread to be written.
+  // Counted in pool_tasks_ — Shutdown() must not let ~NetServer destroy
+  // the loop while a callback is still posting to it.
+  ShardRouter* router = (frame.flags & kFlagNoForward) == 0 ? router_ : nullptr;
+  service::CspdbService::Forward forward;
+  if (router != nullptr) {
+    forward = [router](const service::ServiceRequest& routed,
+                       const service::Fingerprint& fingerprint) {
+      return router->Forward(routed, fingerprint);
+    };
   }
-
-  // Peer forward (kFlagNoForward) or an unclustered node: the service's
-  // admission-controlled async path. The callback runs on a pool thread
-  // (inline here on admission rejection); the response hops back to the
-  // loop thread to be written. Counted in pool_tasks_ — Shutdown() must
-  // not let ~NetServer destroy the loop while a callback is still
-  // posting to it.
+  auto done = [this, router, conn_id, wire_id](service::Response response) {
+    if (router != nullptr) router->Count(response);
+    loop_.Post([this, conn_id, wire_id, response = std::move(response)] {
+      CompleteRequest(conn_id, wire_id, response);
+    });
+    util::MutexLock lock(pool_tasks_mu_);
+    if (--pool_tasks_ == 0) pool_tasks_cv_.NotifyAll();
+  };
   {
     util::MutexLock lock(pool_tasks_mu_);
     ++pool_tasks_;
   }
-  service_->Submit(std::move(*request), options_.request_timeout_ns,
-                   [this, conn_id, wire_id](service::Response response) {
-                     loop_.Post([this, conn_id, wire_id,
-                                 response = std::move(response)] {
-                       CompleteRequest(conn_id, wire_id, response);
-                     });
-                     util::MutexLock lock(pool_tasks_mu_);
-                     if (--pool_tasks_ == 0) pool_tasks_cv_.NotifyAll();
-                   });
+  service_->Submit(std::move(*request), /*timeout_ns=*/-1, std::move(done),
+                   std::move(forward));
 }
 
 void NetServer::CompleteRequest(uint64_t conn_id, uint64_t wire_id,

@@ -1,16 +1,17 @@
 // NetServer: the epoll front-end of a cluster node. One loop thread owns
-// every socket; request work runs on the shared thread pool; completed
+// every socket; request work runs on the service's thread pool; completed
 // responses hop back to the loop via EventLoop::Post. Per-connection
 // backpressure (reads pause at max_in_flight frames), idle timeouts, and
 // a graceful drain (stop accepting, finish in-flight work, flush, then
 // stop the loop) are all loop-thread bookkeeping.
 //
-// Request routing: frames carrying kFlagNoForward (peer-to-peer
-// forwards), and every frame when no router is attached, go through
-// CspdbService::Submit's admission-controlled async path. Client-facing
-// frames on a clustered node go through ShardRouter::Handle on a pool
-// task, which probes the local cache and consults the fingerprint's
-// owner shard before computing.
+// Request routing: every decoded request goes through
+// CspdbService::Submit's admission-controlled async path, so each one is
+// admitted, timed and canonicalized once. Client-facing frames on a
+// clustered node pass the router's Forward as the owner hop, which the
+// service asks on an exact-fingerprint cache miss; frames carrying
+// kFlagNoForward (peer-to-peer forwards), and every frame when no router
+// is attached, are computed on this node.
 
 #ifndef CSPDB_NET_SERVER_H_
 #define CSPDB_NET_SERVER_H_
@@ -49,10 +50,9 @@ struct ServerOptions {
   /// Shutdown() force-closes connections still busy after this long.
   int64_t drain_timeout_ms = 5000;
 
-  /// Per-request timeout handed to the service; <= 0 = service default.
-  int64_t request_timeout_ns = -1;
-
-  /// Pool for request work; nullptr means ThreadPool::Global().
+  /// Unused: request work runs on the service's pool
+  /// (ServiceOptions::pool). Still accepted so existing node set-ups
+  /// compile.
   exec::ThreadPool* pool = nullptr;
 };
 
@@ -128,7 +128,6 @@ class NetServer {
   service::CspdbService* service_;
   ShardRouter* router_ = nullptr;
   ServerOptions options_;
-  exec::ThreadPool* pool_;
 
   EventLoop loop_;
   std::thread loop_thread_;
@@ -144,11 +143,10 @@ class NetServer {
   bool draining_ = false;
   int64_t drain_deadline_ms_ = 0;
 
-  // Request work in flight on pool threads: router-path tasks plus
-  // service Submit done-callbacks. Shutdown() must outwait both — they
-  // capture `this` and post to loop_, and the loop being stopped only
-  // means their posted completions are never drained, not that the
-  // tasks are done.
+  // Service Submit done-callbacks not yet run. Shutdown() must outwait
+  // them — they capture `this` and post to loop_, and the loop being
+  // stopped only means their posted completions are never drained, not
+  // that the callbacks are done.
   util::Mutex pool_tasks_mu_;
   util::CondVar pool_tasks_cv_;
   int pool_tasks_ CSPDB_GUARDED_BY(pool_tasks_mu_) = 0;

@@ -8,74 +8,61 @@
 
 namespace cspdb::net {
 
-ShardRouter::ShardRouter(service::CspdbService* service, std::string self_id,
-                         std::vector<PeerId> members, RouterOptions options)
-    : service_(service),
-      self_id_(std::move(self_id)),
-      options_(options),
-      ring_(std::move(members)) {
+ShardRouter::ShardRouter(service::CspdbService* /*service*/,
+                         std::string self_id, std::vector<PeerId> members)
+    : self_id_(std::move(self_id)), ring_(std::move(members)) {
   bool self_found = false;
   for (const std::string& member : ring_.members()) {
     if (member == self_id_) {
       self_found = true;
     } else {
-      peers_.emplace(member,
-                     std::make_unique<PeerClient>(member, options_.peer));
+      peers_.emplace(member, std::make_unique<PeerClient>(member));
     }
   }
   CSPDB_CHECK_MSG(self_found, "ShardRouter self id must be a ring member");
 }
 
-service::Response ShardRouter::Handle(const service::ServiceRequest& request) {
-  CSPDB_TIMER_SCOPE("net.route");
-  service::Fingerprint fingerprint;
-  std::optional<service::Response> probed =
-      service_->Probe(request, &fingerprint);
-  if (probed.has_value()) {
+std::optional<service::Response> ShardRouter::Forward(
+    const service::ServiceRequest& request,
+    const service::Fingerprint& fingerprint) {
+  CSPDB_TIMER_SCOPE("net.forward");
+  const std::string& owner = ring_.OwnerOf(fingerprint);
+  if (owner == self_id_) return std::nullopt;
+  auto it = peers_.find(owner);
+  CSPDB_CHECK_MSG(it != peers_.end(), "ring owner has no peer client");
+  std::string error;
+  const uint64_t call_id =
+      next_call_id_.fetch_add(1, std::memory_order_relaxed);
+  std::optional<service::Response> remote =
+      it->second->Call(request, call_id, kFlagNoForward, &error);
+  if (remote.has_value() && remote->status != service::StatusCode::kRejected) {
+    return remote;
+  }
+  // Owner down or shedding: the service degrades to local compute. The
+  // local run caches locally, so a dead owner costs one engine run per
+  // node, not per request.
+  peer_failures_.fetch_add(1, std::memory_order_relaxed);
+  CSPDB_COUNT("net.route.peer_failure");
+  return std::nullopt;
+}
+
+void ShardRouter::Count(const service::Response& response) {
+  if (response.status == service::StatusCode::kRejected) return;
+  if (response.served_remotely) {
+    if (response.cache_hit) {
+      remote_hits_.fetch_add(1, std::memory_order_relaxed);
+      CSPDB_COUNT("net.route.remote_hit");
+    } else {
+      remote_compute_.fetch_add(1, std::memory_order_relaxed);
+      CSPDB_COUNT("net.route.remote_compute");
+    }
+  } else if (response.cache_hit) {
     local_hits_.fetch_add(1, std::memory_order_relaxed);
     CSPDB_COUNT("net.route.local_hit");
-    return *std::move(probed);
+  } else {
+    local_compute_.fetch_add(1, std::memory_order_relaxed);
+    CSPDB_COUNT("net.route.local_compute");
   }
-
-  // Inexact fingerprints are process-nonce-salted: no other node can have
-  // them cached, so consulting the owner would be a guaranteed miss.
-  if (fingerprint.exact) {
-    const std::string& owner = ring_.OwnerOf(fingerprint);
-    if (owner != self_id_) {
-      auto it = peers_.find(owner);
-      CSPDB_CHECK_MSG(it != peers_.end(), "ring owner has no peer client");
-      std::string error;
-      const uint64_t call_id =
-          next_call_id_.fetch_add(1, std::memory_order_relaxed);
-      std::optional<service::Response> remote =
-          it->second->Call(request, call_id, kFlagNoForward, &error);
-      if (remote.has_value() &&
-          remote->status != service::StatusCode::kRejected) {
-        remote->served_remotely = true;
-        if (remote->cache_hit) {
-          remote_hits_.fetch_add(1, std::memory_order_relaxed);
-          CSPDB_COUNT("net.route.remote_hit");
-        } else {
-          remote_compute_.fetch_add(1, std::memory_order_relaxed);
-          CSPDB_COUNT("net.route.remote_compute");
-        }
-        // The answer is NOT copied into the local cache: each canonical
-        // fingerprint stays cached on exactly one node, which is what
-        // keeps N nodes serving ~N distinct working sets instead of N
-        // copies of one.
-        return *std::move(remote);
-      }
-      // Owner down or shedding: degrade to local compute. The local run
-      // caches locally, so a dead owner costs one engine run per node,
-      // not per request.
-      peer_failures_.fetch_add(1, std::memory_order_relaxed);
-      CSPDB_COUNT("net.route.peer_failure");
-    }
-  }
-
-  local_compute_.fetch_add(1, std::memory_order_relaxed);
-  CSPDB_COUNT("net.route.local_compute");
-  return service_->Handle(request, options_.request_timeout_ns);
 }
 
 RouterStats ShardRouter::stats() const {

@@ -1,12 +1,14 @@
-// ShardRouter: the request path of a cluster node. Every client-facing
-// request is (1) probed against the local result cache, (2) on a miss,
-// sent to the fingerprint's owner shard — which has either cached the
-// answer already or computes and caches it, so each canonical request is
-// computed once cluster-wide — and (3) computed locally when this node
-// is the owner, the fingerprint is inexact, or the owner is down
-// (degradation: a partitioned cluster serves everything, just without
-// sharing). Peer forwards carry kFlagNoForward, so a ring
-// mis-configuration costs one extra hop, never a loop.
+// ShardRouter: the forward step of a cluster node. Every client-facing
+// request enters CspdbService::Submit with the router's Forward as its
+// owner hop. The service (1) probes the local result cache, (2) on an
+// exact-fingerprint miss asks Forward, which sends the request to the
+// fingerprint's owner shard — which has either cached the answer already
+// or computes and caches it, so each canonical request is computed once
+// cluster-wide — and (3) computes locally when this node is the owner,
+// the fingerprint is inexact, or the owner is down (degradation: a
+// partitioned cluster serves everything, just without sharing). Peer
+// forwards carry kFlagNoForward, so a ring mis-configuration costs one
+// extra hop, never a loop.
 
 #ifndef CSPDB_NET_SHARD_H_
 #define CSPDB_NET_SHARD_H_
@@ -14,6 +16,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -24,6 +27,8 @@
 
 namespace cspdb::net {
 
+/// Dispositions of routed requests (client-facing requests the service
+/// admitted); the first four partition them.
 struct RouterStats {
   int64_t local_hits = 0;      ///< answered from this node's cache
   int64_t remote_hits = 0;     ///< owner answered from its cache
@@ -32,35 +37,32 @@ struct RouterStats {
   int64_t peer_failures = 0;   ///< owner consult failed; degraded locally
 };
 
-struct RouterOptions {
-  PeerClientOptions peer;
-  /// Per-request timeout handed to the local service on compute.
-  int64_t request_timeout_ns = -1;
-};
-
 class ShardRouter {
  public:
   /// `self_id` must appear in `members`; every other member gets a
-  /// PeerClient dialed on demand.
+  /// PeerClient dialed on demand. The router never calls the node's
+  /// service: the service calls Forward.
   ShardRouter(service::CspdbService* service, std::string self_id,
-              std::vector<PeerId> members, RouterOptions options = {});
+              std::vector<PeerId> members);
 
-  /// Serves one client-facing request (blocking; call from a pool
-  /// thread, not the event loop).
-  service::Response Handle(const service::ServiceRequest& request);
+  /// The owner hop (a CspdbService::Forward): returns the owner's
+  /// response when a peer owns `fingerprint` and answers it; nullopt when
+  /// this node owns it, or the owner failed or shed the request (counted
+  /// as a peer failure). Blocks on the network; runs on a pool thread.
+  std::optional<service::Response> Forward(
+      const service::ServiceRequest& request,
+      const service::Fingerprint& fingerprint);
 
-  /// Ring owner of `fingerprint` (exposed for tests).
-  const std::string& OwnerOf(const service::Fingerprint& fingerprint) const {
-    return ring_.OwnerOf(fingerprint);
-  }
+  /// Counts the disposition of one routed response from its
+  /// served_remotely and cache_hit bits. Admission rejections were never
+  /// routed and are not counted.
+  void Count(const service::Response& response);
 
   const std::string& self_id() const { return self_id_; }
   RouterStats stats() const;
 
  private:
-  service::CspdbService* service_;
   const std::string self_id_;
-  const RouterOptions options_;
   PeerRing ring_;
   std::unordered_map<std::string, std::unique_ptr<PeerClient>> peers_;
 

@@ -110,15 +110,15 @@ struct Response {
   EngineAnswer answer;     ///< meaningful only when status == kOk
   bool cache_hit = false;  ///< served from the result cache
   bool coalesced = false;  ///< served by another request's in-flight run
-  bool served_remotely = false;  ///< answered by a peer node's shard (set
-                                 ///< by the net-tier router, never by
-                                 ///< CspdbService itself)
-  int64_t latency_ns = 0;  ///< Handle() wall time (excludes queue wait
-                           ///< for async submissions)
-  int64_t queue_wait_ns = 0;  ///< enqueue -> task-start wait for async
-                              ///< Submit(); 0 on the synchronous path.
-                              ///< End-to-end latency as the caller saw
-                              ///< it is queue_wait_ns + latency_ns.
+  bool served_remotely = false;  ///< answered by a peer node's shard
+                                 ///< through the Submit() forward step
+  /// The entry node's handling wall time, excluding queue wait. A
+  /// forwarded response's latency includes the hop to the owner shard.
+  int64_t latency_ns = 0;
+  /// The entry node's enqueue -> task-start wait for async Submit(); 0 on
+  /// the synchronous path. End-to-end latency as the caller saw it is
+  /// queue_wait_ns + latency_ns.
+  int64_t queue_wait_ns = 0;
 };
 
 }  // namespace cspdb::service

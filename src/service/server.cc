@@ -68,14 +68,13 @@ CspdbService::~CspdbService() {
 
 Response CspdbService::Handle(const ServiceRequest& request,
                               int64_t timeout_ns) {
-  return HandleAbsolute(
+  return *HandleAbsolute(
       request, AbsoluteDeadline(timeout_ns, options_.default_timeout_ns));
 }
 
-std::future<Response> CspdbService::Submit(ServiceRequest request,
-                                           int64_t timeout_ns) {
-  auto promise = std::make_shared<std::promise<Response>>();
-  std::future<Response> future = promise->get_future();
+void CspdbService::Submit(ServiceRequest request, int64_t timeout_ns,
+                          std::function<void(Response)> done,
+                          Forward forward) {
   const int64_t start_ns = NowNs();
   const int64_t deadline_ns =
       AbsoluteDeadline(timeout_ns, options_.default_timeout_ns);
@@ -83,10 +82,10 @@ std::future<Response> CspdbService::Submit(ServiceRequest request,
   const int admitted = pending_.fetch_add(1, std::memory_order_acq_rel);
   if (options_.max_pending > 0 && admitted >= options_.max_pending) {
     {
-      // Decrement under drain_mu_ with a notify, like the task path: a
-      // rejected Submit racing the last completing task used to drop
-      // pending_ to zero silently, leaving a draining destructor waiting
-      // on a notification that never comes.
+      // Decrement under drain_mu_ with a notify, like the task path;
+      // otherwise a rejected Submit racing the last completing task could
+      // drop pending_ to zero silently, leaving a draining destructor
+      // waiting on a notification that never comes.
       util::MutexLock lock(drain_mu_);
       if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         drain_cv_.NotifyAll();
@@ -101,8 +100,8 @@ std::future<Response> CspdbService::Submit(ServiceRequest request,
     // Stamp latency like every finish() path does, so rejections are
     // distinguishable from genuinely-zero-latency responses in replays.
     response.latency_ns = NowNs() - start_ns;
-    promise->set_value(std::move(response));
-    return future;
+    done(std::move(response));
+    return;
   }
 
   // Request id for flow tracing and the stats store. Allocated only for
@@ -122,17 +121,20 @@ std::future<Response> CspdbService::Submit(ServiceRequest request,
     // ThreadPool::Submit captures it and re-installs it in the task
     // wrapper, carrying the request identity across the thread hop.
     obs::TraceContextScope context_scope(obs::TraceContext{request_id});
-    pool_->Submit([this, promise, request = std::move(request), deadline_ns,
-                   request_id, enqueue_ns] {
+    pool_->Submit([this, done = std::move(done), forward = std::move(forward),
+                   request = std::move(request), deadline_ns, request_id,
+                   enqueue_ns] {
+      Response response;
       try {
-        promise->set_value(HandleAbsolute(request, deadline_ns, request_id,
-                                          NowNs() - enqueue_ns));
+        response = *HandleAbsolute(request, deadline_ns, request_id,
+                                   NowNs() - enqueue_ns, forward);
       } catch (...) {
-        // The future must always complete and pending_ must always drop,
-        // or Submit callers hang and the destructor's drain never
-        // finishes.
-        promise->set_exception(std::current_exception());
+        // `done` must always run and pending_ must always drop, or
+        // callers hang and the destructor's drain never finishes.
+        response.status = StatusCode::kRejected;
+        response.kind = KindOf(request);
       }
+      done(std::move(response));
       // Decrement and notify while holding drain_mu_: the destructor may
       // destroy drain_mu_/drain_cv_ the moment its wait observes
       // pending_ == 0, so the zero transition and the notify must both
@@ -143,99 +145,24 @@ std::future<Response> CspdbService::Submit(ServiceRequest request,
       }
     });
   }
-  return future;
 }
 
-void CspdbService::Submit(ServiceRequest request, int64_t timeout_ns,
-                          std::function<void(Response)> done) {
-  const int64_t start_ns = NowNs();
-  const int64_t deadline_ns =
-      AbsoluteDeadline(timeout_ns, options_.default_timeout_ns);
-
-  const int admitted = pending_.fetch_add(1, std::memory_order_acq_rel);
-  if (options_.max_pending > 0 && admitted >= options_.max_pending) {
-    {
-      // Same protocol as the future path: decrement under drain_mu_ with
-      // a notify so a draining destructor cannot miss the zero
-      // transition.
-      util::MutexLock lock(drain_mu_);
-      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        drain_cv_.NotifyAll();
-      }
-    }
-    requests_.fetch_add(1, std::memory_order_relaxed);
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    CSPDB_COUNT("service.shed.rejected");
-    Response response;
-    response.status = StatusCode::kRejected;
-    response.kind = KindOf(request);
-    response.latency_ns = NowNs() - start_ns;
-    done(std::move(response));
-    return;
-  }
-
-  const uint64_t request_id =
-      next_request_id_.fetch_add(1, std::memory_order_relaxed);
-  const int64_t enqueue_ns = NowNs();
-  {
-    CSPDB_TRACE_SPAN("service.submit");
-    CSPDB_TRACE_FLOW_BEGIN("service.request", request_id);
-    obs::TraceContextScope context_scope(obs::TraceContext{request_id});
-    pool_->Submit([this, done = std::move(done),
-                   request = std::move(request), deadline_ns, request_id,
-                   enqueue_ns] {
-      Response response;
-      try {
-        response = HandleAbsolute(request, deadline_ns, request_id,
-                                  NowNs() - enqueue_ns);
-      } catch (...) {
-        response.status = StatusCode::kRejected;
-        response.kind = KindOf(request);
-      }
-      done(std::move(response));
-      util::MutexLock lock(drain_mu_);
-      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        drain_cv_.NotifyAll();
-      }
-    });
-  }
+std::future<Response> CspdbService::Submit(ServiceRequest request,
+                                           int64_t timeout_ns) {
+  auto promise = std::make_shared<std::promise<Response>>();
+  std::future<Response> future = promise->get_future();
+  Submit(std::move(request), timeout_ns, [promise](Response response) {
+    promise->set_value(std::move(response));
+  });
+  return future;
 }
 
 std::optional<Response> CspdbService::Probe(const ServiceRequest& request,
                                             Fingerprint* fingerprint) {
-  CSPDB_TIMER_SCOPE("service.probe");
-  const int64_t start_ns = NowNs();
-  const CanonicalRequest canon = Canonicalize(request);
-  if (fingerprint != nullptr) *fingerprint = canon.fingerprint;
-  if (!options_.enable_cache || !canon.fingerprint.exact) {
-    return std::nullopt;
-  }
-  std::shared_ptr<const EngineAnswer> cached =
-      cache_.Lookup(canon.fingerprint, KindOf(request), NowNs());
-  if (cached == nullptr) return std::nullopt;
-
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  cache_hits_.fetch_add(1, std::memory_order_relaxed);
-  ok_.fetch_add(1, std::memory_order_relaxed);
-  CSPDB_COUNT("service.requests");
-
-  Response response;
-  response.status = StatusCode::kOk;
-  response.kind = KindOf(request);
-  response.cache_hit = true;
-  response.answer = MapBack(*cached, canon);
-  response.latency_ns = NowNs() - start_ns;
-  CSPDB_HISTO_NS("service.handle_ns", response.latency_ns);
-
-  obs::RequestOutcome outcome;
-  outcome.kind = static_cast<int32_t>(response.kind);
-  outcome.status = static_cast<int32_t>(StatusCode::kOk);
-  outcome.cache_disposition = static_cast<int32_t>(CacheDisposition::kHit);
-  outcome.work_items = 0;
-  outcome.wall_ns = response.latency_ns;
-  outcome.queue_wait_ns = 0;
-  stats_store_.Record({canon.fingerprint.lo, canon.fingerprint.hi}, outcome);
-  return response;
+  Fingerprint ignored;
+  return HandleAbsolute(request, /*deadline_ns=*/-1, /*request_id=*/0,
+                        /*queue_wait_ns=*/0, /*forward=*/{},
+                        fingerprint != nullptr ? fingerprint : &ignored);
 }
 
 ServiceStats CspdbService::stats() const {
@@ -377,10 +304,9 @@ EngineAnswer CspdbService::MapBack(const EngineAnswer& canonical,
   return EngineAnswer(std::move(out));
 }
 
-Response CspdbService::HandleAbsolute(const ServiceRequest& request,
-                                      int64_t deadline_ns,
-                                      uint64_t request_id,
-                                      int64_t queue_wait_ns) {
+std::optional<Response> CspdbService::HandleAbsolute(
+    const ServiceRequest& request, int64_t deadline_ns, uint64_t request_id,
+    int64_t queue_wait_ns, const Forward& forward, Fingerprint* probe) {
   CSPDB_TIMER_SCOPE("service.handle");
   // Close the submit-side flow arrow first thing inside the handle span,
   // so even requests shed before canonicalization complete their flow
@@ -389,12 +315,9 @@ Response CspdbService::HandleAbsolute(const ServiceRequest& request,
     CSPDB_TRACE_FLOW_END("service.request", request_id);
   }
   const int64_t start_ns = NowNs();
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  CSPDB_COUNT("service.requests");
 
   Response response;
   response.kind = KindOf(request);
-  response.queue_wait_ns = queue_wait_ns;
 
   // Engaged once the request has been canonicalized; stats-store records
   // are keyed by the canonical fingerprint, so requests shed earlier
@@ -402,9 +325,15 @@ Response CspdbService::HandleAbsolute(const ServiceRequest& request,
   std::optional<Fingerprint> recorded_fingerprint;
   int64_t work_items = 0;
 
+  // Every response leaves through here: this node's latency and queue
+  // wait (a forwarded response's latency includes the hop), the status
+  // counters, and the stats-store record.
   auto finish = [&](StatusCode status) -> Response {
     response.status = status;
     response.latency_ns = NowNs() - start_ns;
+    response.queue_wait_ns = queue_wait_ns;
+    requests_.fetch_add(1, std::memory_order_relaxed);
+    CSPDB_COUNT("service.requests");
     CSPDB_HISTO_NS("service.handle_ns", response.latency_ns);
     if (request_id != 0) {
       CSPDB_HISTO_NS("service.queue_wait_ns", queue_wait_ns);
@@ -415,7 +344,8 @@ Response CspdbService::HandleAbsolute(const ServiceRequest& request,
       shed_deadline_.fetch_add(1, std::memory_order_relaxed);
       CSPDB_COUNT("service.shed.deadline");
     }
-    if (recorded_fingerprint.has_value()) {
+    // The owner shard records the requests it answered for this node.
+    if (recorded_fingerprint.has_value() && !response.served_remotely) {
       CacheDisposition disposition = CacheDisposition::kMiss;
       if (!recorded_fingerprint->exact) {
         disposition = CacheDisposition::kBypass;
@@ -443,11 +373,8 @@ Response CspdbService::HandleAbsolute(const ServiceRequest& request,
 
   const CanonicalRequest canon = Canonicalize(request);
   recorded_fingerprint = canon.fingerprint;
+  if (probe != nullptr) *probe = canon.fingerprint;
   const bool cacheable = options_.enable_cache && canon.fingerprint.exact;
-  if (!canon.fingerprint.exact) {
-    uncacheable_.fetch_add(1, std::memory_order_relaxed);
-    CSPDB_COUNT("service.uncacheable");
-  }
 
   if (cacheable) {
     std::shared_ptr<const EngineAnswer> cached =
@@ -458,11 +385,31 @@ Response CspdbService::HandleAbsolute(const ServiceRequest& request,
       response.answer = MapBack(*cached, canon);
       return finish(StatusCode::kOk);
     }
+  }
+  if (probe != nullptr) return std::nullopt;
+
+  if (!canon.fingerprint.exact) {
+    uncacheable_.fetch_add(1, std::memory_order_relaxed);
+    CSPDB_COUNT("service.uncacheable");
+  } else if (cacheable) {
     cache_misses_.fetch_add(1, std::memory_order_relaxed);
     CSPDB_COUNT("service.cache.miss");
   }
 
   if (DeadlinePassed(deadline_ns)) return finish(StatusCode::kDeadlineExceeded);
+
+  // A clustered node asks the fingerprint's owner shard before computing.
+  // Inexact fingerprints are process-nonce-salted: no other node can
+  // hold them, so they are never forwarded. The owner's answer is not
+  // cached here — each exact fingerprint stays cached on one node.
+  if (forward && canon.fingerprint.exact) {
+    std::optional<Response> remote = forward(request, canon.fingerprint);
+    if (remote.has_value()) {
+      response = *std::move(remote);
+      response.served_remotely = true;
+      return finish(response.status);
+    }
+  }
 
   // The compute path: run the engine and make the answer durable before
   // it is published to coalesced waiters.

@@ -22,6 +22,10 @@
 // with DEADLINE_EXCEEDED before touching an engine. The service never
 // queues unboundedly and never blocks a caller past its deadline.
 //
+// A clustered node passes Submit() a forward step (net/shard.h): on an
+// exact-fingerprint cache miss, before single-flight, the fingerprint's
+// owner shard may answer instead of the local engine.
+//
 // Determinism contract (verified by tests/service_differential_test.cc):
 // for a fixed request, the response answer is byte-identical whether it
 // was computed cold, served from cache, or coalesced onto another
@@ -102,6 +106,14 @@ enum class CacheDisposition {
 
 class CspdbService {
  public:
+  /// The owner-shard hop of a clustered node, asked with the request and
+  /// its exact fingerprint on a local cache miss. Returns the owner's
+  /// response, or nullopt to compute locally (this node owns the key, or
+  /// the owner failed or shed the request). Runs on a pool thread and may
+  /// block on the network.
+  using Forward = std::function<std::optional<Response>(
+      const ServiceRequest&, const Fingerprint&)>;
+
   explicit CspdbService(ServiceOptions options = {});
 
   /// Blocks until every async submission has completed.
@@ -115,30 +127,27 @@ class CspdbService {
   /// is relative; <= 0 uses options.default_timeout_ns.
   Response Handle(const ServiceRequest& request, int64_t timeout_ns = -1);
 
-  /// Asynchronous path through the admission queue and thread pool.
-  /// Returns a future that always completes: with kRejected immediately
-  /// when the admission bound is hit, with kDeadlineExceeded if the
-  /// deadline passes while queued, with the handled response otherwise.
+  /// Asynchronous path through the admission queue and thread pool: the
+  /// one way a request enters a served node. `done` is invoked exactly
+  /// once with the final response: inline with kRejected when the
+  /// admission bound is hit, on a pool thread otherwise (kDeadlineExceeded
+  /// if the deadline passes while queued). An exception escaping the
+  /// handler is converted into a kRejected response. `forward`, when set,
+  /// is consulted on an exact-fingerprint cache miss; its answers are not
+  /// cached here.
+  void Submit(ServiceRequest request, int64_t timeout_ns,
+              std::function<void(Response)> done, Forward forward = {});
+
+  /// Future flavor of Submit(), for callers that may block.
   std::future<Response> Submit(ServiceRequest request,
                                int64_t timeout_ns = -1);
-
-  /// Callback flavor of the async path, for callers that must not block
-  /// on a future (the net tier's event loop). `done` is invoked exactly
-  /// once with the final response: inline when the request is rejected at
-  /// admission, on a pool thread otherwise. An exception escaping the
-  /// handler is converted into a kRejected response rather than
-  /// propagated (there is no future to carry it).
-  void Submit(ServiceRequest request, int64_t timeout_ns,
-              std::function<void(Response)> done);
 
   /// Cache-only probe: canonicalizes `request`, reports its fingerprint
   /// through *fingerprint (always, hit or miss), and returns the
   /// mapped-back cached response on a hit — counted as a served request
-  /// and cache hit, exactly like a Handle() that hit. On a miss nothing
-  /// is counted and std::nullopt is returned; the caller follows up with
-  /// Handle()/Submit(), which does its own accounting. This is the
-  /// net-tier router's "is it already here?" question, asked before
-  /// deciding whether to consult the owner shard.
+  /// and cache hit, exactly like a Handle() that hit. On a miss, or for
+  /// an inexact fingerprint, nothing is counted and std::nullopt is
+  /// returned.
   std::optional<Response> Probe(const ServiceRequest& request,
                                 Fingerprint* fingerprint);
 
@@ -169,11 +178,19 @@ class CspdbService {
 
   CanonicalRequest Canonicalize(const ServiceRequest& request) const;
 
-  // `request_id` is nonzero only on the async path (it closes the
-  // submit-side flow arrow and tags the stats-store record);
-  // `queue_wait_ns` is the enqueue -> task-start wait stamped by Submit.
-  Response HandleAbsolute(const ServiceRequest& request, int64_t deadline_ns,
-                          uint64_t request_id = 0, int64_t queue_wait_ns = 0);
+  // The request path behind Handle, Submit and Probe. `request_id` is
+  // nonzero only on the async path (it closes the submit-side flow arrow
+  // and tags the stats-store record); `queue_wait_ns` is the enqueue ->
+  // task-start wait stamped by Submit. A non-null `probe` makes this a
+  // cache-only probe: *probe receives the fingerprint, and a miss
+  // returns nullopt with nothing counted. Every other call returns a
+  // response.
+  std::optional<Response> HandleAbsolute(const ServiceRequest& request,
+                                         int64_t deadline_ns,
+                                         uint64_t request_id = 0,
+                                         int64_t queue_wait_ns = 0,
+                                         const Forward& forward = {},
+                                         Fingerprint* probe = nullptr);
 
   // Runs the engine for `request` (canonical instance for SolveCsp).
   // Returns nullptr iff the run was deadline/budget-aborted. On success

@@ -1,13 +1,18 @@
 // End-to-end loopback tests for the networked serving tier: a real
 // NetServer on a real socket, driven by the blocking client. Covers the
 // single-node round trip, protocol-error handling, graceful shutdown,
+// admission of a clustered node's client requests,
 // and the ISSUE 10 acceptance differential: a two-node consistent-hash
 // cluster serves the Zipfian replay byte-identically to single-node
 // in-process serving, with a nonzero remote hit rate.
 
+#include <algorithm>
 #include <cstdint>
+#include <future>
 #include <memory>
+#include <optional>
 #include <string>
+#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -18,6 +23,7 @@
 #include "net/server.h"
 #include "net/shard.h"
 #include "net/wire.h"
+#include "occupy_worker.h"
 #include "service/server.h"
 #include "service/workload.h"
 
@@ -53,9 +59,12 @@ std::vector<ServiceRequest> ZipfStream(int n) {
 /// share one — node A's routed request blocks a pool thread until node B
 /// answers, which needs B's own threads), service, router, and server.
 struct Node {
-  explicit Node(int pool_threads) : pool(pool_threads) {
+  explicit Node(int pool_threads,
+                int max_pending = ServiceOptions{}.max_pending)
+      : pool(pool_threads) {
     ServiceOptions options;
     options.pool = &pool;
+    options.max_pending = max_pending;
     service = std::make_unique<CspdbService>(options);
   }
 
@@ -99,6 +108,21 @@ std::vector<std::unique_ptr<Node>> StartCluster(int n) {
     if (ok) return nodes;
   }
   return {};
+}
+
+/// Reads one frame as a response, reporting its request id; nullopt with
+/// *error set on anything else.
+std::optional<Response> ReadResponse(Connection* conn, int64_t timeout_ms,
+                                     uint64_t* wire_id, std::string* error) {
+  std::optional<Frame> frame = conn->ReadFrame(timeout_ms, error);
+  if (!frame.has_value()) return std::nullopt;
+  if (frame->type != FrameType::kResponse) {
+    *error = "not a response frame";
+    return std::nullopt;
+  }
+  *wire_id = frame->request_id;
+  return DecodeResponsePayload(frame->payload.data(), frame->payload.size(),
+                               error);
 }
 
 TEST(NetLoopback, SingleNodeRoundTripMatchesLocalService) {
@@ -286,6 +310,87 @@ TEST(NetLoopback, DeadPeerDegradesToLocalCompute) {
   const RouterStats stats = node->router->stats();
   EXPECT_GT(stats.peer_failures, 0);
   EXPECT_EQ(stats.remote_hits, 0);
+  node->server->Shutdown();
+}
+
+TEST(NetLoopback, ClusteredNodeAdmitsAndTimesClientRequests) {
+  // A clustered node's client-facing requests pass the service's
+  // admission bound and report their queue wait, like every other
+  // request. The ring holds only this node, so everything is computed
+  // here. With max_pending = 1 and the only worker parked, the first of
+  // three pipelined requests is admitted and waits; the other two are
+  // rejected at once.
+  auto node = std::make_unique<Node>(/*pool_threads=*/1, /*max_pending=*/1);
+  for (int attempt = 0; attempt < 5; ++attempt) {
+    const std::string self =
+        "127.0.0.1:" + std::to_string(PortBase() + 700 + attempt);
+    node->router = std::make_unique<ShardRouter>(
+        node->service.get(), self, std::vector<PeerId>{{self}});
+    ServerOptions server_options;
+    server_options.listen_address = self;
+    node->server =
+        std::make_unique<NetServer>(node->service.get(), server_options);
+    node->server->set_router(node->router.get());
+    std::string error;
+    if (node->server->Start(&error)) break;
+    node->server.reset();
+  }
+  ASSERT_NE(node->server, nullptr) << "could not bind a loopback port";
+  std::string error;
+  std::unique_ptr<Connection> conn =
+      Connection::Dial(node->server->address(), 2000, &error);
+  ASSERT_NE(conn, nullptr) << error;
+
+  const std::vector<ServiceRequest> stream = ZipfStream(3);
+  std::vector<uint8_t> bytes;
+  for (int i = 0; i < 3; ++i) {
+    Frame frame;
+    frame.type = FrameType::kRequest;
+    frame.request_id = static_cast<uint64_t>(i) + 1;
+    EncodeRequestPayload(stream[i], &frame.payload);
+    AppendFrame(frame, &bytes);
+  }
+
+  // No ASSERT while the worker is parked: the gate must open on every
+  // path, or teardown waits on the parked task forever.
+  std::promise<void> release;
+  OccupyWorker(&node->pool, release.get_future().share());
+  const bool sent = conn->SendBytes(bytes.data(), bytes.size(), &error);
+  EXPECT_TRUE(sent) << error;
+  std::vector<uint64_t> rejected_ids;
+  for (int i = 0; i < 2 && sent; ++i) {
+    uint64_t wire_id = 0;
+    std::optional<Response> response =
+        ReadResponse(conn.get(), 5000, &wire_id, &error);
+    if (!response.has_value()) {
+      ADD_FAILURE() << "rejections did not come back at once: " << error;
+      break;
+    }
+    EXPECT_EQ(response->status, StatusCode::kRejected)
+        << "request " << wire_id;
+    rejected_ids.push_back(wire_id);
+  }
+  release.set_value();
+  std::sort(rejected_ids.begin(), rejected_ids.end());
+  EXPECT_EQ(rejected_ids, (std::vector<uint64_t>{2, 3}));
+
+  uint64_t wire_id = 0;
+  std::optional<Response> admitted =
+      ReadResponse(conn.get(), 10000, &wire_id, &error);
+  ASSERT_TRUE(admitted.has_value()) << error;
+  EXPECT_EQ(wire_id, 1u);
+  ASSERT_EQ(admitted->status, StatusCode::kOk);
+  EXPECT_GT(admitted->queue_wait_ns, 0);
+  CspdbService reference;
+  EXPECT_EQ(AnswerBytes(*admitted), AnswerBytes(reference.Handle(stream[0])));
+
+  // Rejected requests never reached the owner hop: one routed request.
+  const RouterStats routed = node->router->stats();
+  EXPECT_EQ(routed.local_compute, 1);
+  EXPECT_EQ(routed.local_hits + routed.remote_hits + routed.remote_compute +
+                routed.local_compute,
+            1);
+  EXPECT_EQ(node->service->stats().rejected, 2);
   node->server->Shutdown();
 }
 

@@ -1,11 +1,13 @@
 // Unit tests for the serving layer (ISSUE 5): cache semantics (TTL,
-// invalidation, byte budget, negative caching), admission control,
-// deadline shedding, destructor drain, and the static-storage /
-// exit-ordering regression for services built on ThreadPool::Global().
+// invalidation, byte budget, negative caching, the cache-only Probe),
+// admission control, deadline shedding, destructor drain, and the
+// static-storage / exit-ordering regression for services built on
+// ThreadPool::Global().
 
 #include <chrono>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -16,6 +18,9 @@
 #include "csp/instance.h"
 #include "exec/thread_pool.h"
 #include "gen/generators.h"
+#include "net/wire.h"
+#include "occupy_worker.h"
+#include "service/fingerprint.h"
 #include "service/result_cache.h"
 #include "service/server.h"
 #include "service/workload.h"
@@ -64,17 +69,17 @@ CspInstance DisjointTriangles(int k) {
   return csp;
 }
 
-// Parks a blocking task on `pool`'s worker and returns once the worker
-// has actually picked it up (the pool pops LIFO, so without the ack a
-// later submission could run first).
-void OccupyWorker(exec::ThreadPool* pool, std::shared_future<void> gate) {
-  std::promise<void> started;
-  std::future<void> started_future = started.get_future();
-  pool->Submit([gate, &started] {
-    started.set_value();
-    gate.wait();
-  });
-  started_future.wait();
+// The same instance with its variables numbered in reverse: an
+// isomorphic relabeling, so it shares the original's fingerprint.
+CspInstance ReverseVariables(const CspInstance& csp) {
+  CspInstance renamed(csp.num_variables(), csp.num_values());
+  const int n = csp.num_variables();
+  for (const Constraint& c : csp.constraints()) {
+    std::vector<int> scope;
+    for (int v : c.scope) scope.push_back(n - 1 - v);
+    renamed.AddConstraint(std::move(scope), c.allowed);
+  }
+  return renamed;
 }
 
 TEST(ServiceTest, RepeatAndIsomorphicRequestsHitTheCache) {
@@ -94,13 +99,7 @@ TEST(ServiceTest, RepeatAndIsomorphicRequestsHitTheCache) {
 
   // An isomorphic copy (variables reversed) hits too, and its answer is
   // valid for *its* labeling.
-  CspInstance renamed(csp.num_variables(), csp.num_values());
-  const int n = csp.num_variables();
-  for (const Constraint& c : csp.constraints()) {
-    std::vector<int> scope;
-    for (int v : c.scope) scope.push_back(n - 1 - v);
-    renamed.AddConstraint(std::move(scope), c.allowed);
-  }
+  CspInstance renamed = ReverseVariables(csp);
   Response iso = service.Handle(SolveRequest(renamed));
   ASSERT_EQ(iso.status, StatusCode::kOk);
   EXPECT_TRUE(iso.cache_hit);
@@ -110,6 +109,73 @@ TEST(ServiceTest, RepeatAndIsomorphicRequestsHitTheCache) {
 
   EXPECT_EQ(service.stats().engine_invocations, 1);
   EXPECT_EQ(service.stats().cache_hits, 2);
+}
+
+// Probe() is the cache-only half of the request path: it canonicalizes
+// and looks up, and counts only what it serves.
+TEST(ServiceTest, ProbeMissReportsTheFingerprintAndCountsNothing) {
+  CspdbService service;
+  Rng rng(53);
+  const CspInstance csp = RandomBinaryCsp(8, 3, 10, 0.3, &rng);
+  Fingerprint fingerprint;
+  fingerprint.lo = fingerprint.hi = 0x5a5a5a5a;
+  EXPECT_FALSE(service.Probe(SolveRequest(csp), &fingerprint).has_value());
+  EXPECT_EQ(fingerprint, CanonicalizeCsp(csp).fingerprint);
+  EXPECT_TRUE(fingerprint.exact);
+
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.requests, 0);
+  EXPECT_EQ(stats.ok, 0);
+  EXPECT_EQ(stats.cache_hits, 0);
+  EXPECT_EQ(stats.cache_misses, 0);
+  EXPECT_EQ(stats.coalesced, 0);
+  EXPECT_EQ(stats.engine_invocations, 0);
+  EXPECT_EQ(stats.shed_deadline, 0);
+  EXPECT_EQ(stats.rejected, 0);
+  EXPECT_EQ(stats.uncacheable, 0);
+  EXPECT_EQ(service.stats_store().size(), 0u);
+}
+
+TEST(ServiceTest, ProbeHitsAnIsomorphicRelabelingLikeHandle) {
+  CspdbService service;
+  Rng rng(7);
+  const CspInstance csp = RandomBinaryCsp(8, 3, 10, 0.3, &rng);
+  ASSERT_EQ(service.Handle(SolveRequest(csp)).status, StatusCode::kOk);
+  const ServiceStats before = service.stats();
+
+  const CspInstance renamed = ReverseVariables(csp);
+  Fingerprint fingerprint;
+  std::optional<Response> probed =
+      service.Probe(SolveRequest(renamed), &fingerprint);
+  ASSERT_TRUE(probed.has_value());
+  EXPECT_EQ(probed->status, StatusCode::kOk);
+  EXPECT_TRUE(probed->cache_hit);
+  EXPECT_EQ(fingerprint, CanonicalizeCsp(csp).fingerprint);
+  const ServiceStats after = service.stats();
+  EXPECT_EQ(after.requests - before.requests, 1);
+  EXPECT_EQ(after.cache_hits - before.cache_hits, 1);
+  EXPECT_EQ(after.ok - before.ok, 1);
+  EXPECT_EQ(after.cache_misses, before.cache_misses);
+  EXPECT_EQ(after.engine_invocations, before.engine_invocations);
+
+  // Mapped back into the relabeling's own variable order, byte for byte
+  // what Handle serves it.
+  const CspAnswer& answer = std::get<CspAnswer>(probed->answer);
+  ASSERT_TRUE(answer.solution.has_value());
+  EXPECT_TRUE(renamed.IsSolution(*answer.solution));
+  EXPECT_EQ(net::AnswerBytes(*probed),
+            net::AnswerBytes(service.Handle(SolveRequest(renamed))));
+}
+
+TEST(ServiceTest, ProbeNeverServesAnInexactFingerprint) {
+  CspdbService service;
+  const ServiceRequest request = SolveRequest(DisjointTriangles(5));
+  ASSERT_EQ(service.Handle(request).status, StatusCode::kOk);
+  Fingerprint fingerprint;
+  EXPECT_FALSE(service.Probe(request, &fingerprint).has_value());
+  EXPECT_FALSE(fingerprint.exact);
+  EXPECT_EQ(service.stats().requests, 1);
+  EXPECT_EQ(service.stats().uncacheable, 1);
 }
 
 TEST(ServiceTest, NegativeAnswersAreCached) {
