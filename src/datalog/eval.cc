@@ -1,138 +1,127 @@
 #include "datalog/eval.h"
 
+#include <optional>
+#include <string>
+#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "analysis/validate_datalog.h"
+#include "db/body_join.h"
+#include "db/relation.h"
 #include "obs/obs.h"
-#include "relational/homomorphism.h"
 #include "util/check.h"
 
 namespace cspdb {
 namespace {
 
-// Mutable fact store for one evaluation.
-struct FactStore {
-  const DatalogProgram& program;
-  const Structure& edb;
-  std::unordered_map<std::string, std::vector<Tuple>> idb_vec;
-  std::unordered_map<std::string, TupleSet> idb_set;
+// The facts of one IDB predicate during an evaluation.
+struct IdbFacts {
+  explicit IdbFacts(const std::vector<int>& columns)
+      : merged(columns), fresh(columns), next(columns) {}
 
-  explicit FactStore(const DatalogProgram& p, const Structure& e)
-      : program(p), edb(e) {}
+  DbRelation merged;  // every fact admitted so far
+  DbRelation fresh;   // the facts the last merge admitted (the delta)
+  DbRelation next;    // facts derived this round that `merged` lacks
+};
 
-  const std::vector<Tuple>* Candidates(const std::string& pred) const {
-    if (program.IsIdb(pred)) {
-      auto it = idb_vec.find(pred);
-      return it == idb_vec.end() ? nullptr : &it->second;
+// One rule, with an optional lead body atom, and the facts its head
+// predicate derives into. The join is planned on the first run that can
+// match: a rule with an atom over no facts (every IDB atom in round 0,
+// or a predicate that never derives anything) is never planned.
+struct Firing {
+  const DatalogRule* rule;
+  int lead;
+  std::vector<BodyAtom> atoms;
+  IdbFacts* head;
+  JoinIndexes* indexes;
+  std::optional<BodyJoin> join;
+
+  // Runs the rule against the relations as they stand; returns the
+  // number of rule firings (satisfying bindings).
+  int64_t Run() {
+    for (const BodyAtom& atom : atoms) {
+      if (atom.rows == nullptr || atom.rows->empty()) return 0;
     }
-    int rel = edb.vocabulary().IndexOf(pred);
-    if (rel < 0) return nullptr;
-    CSPDB_CHECK_MSG(edb.vocabulary().symbol(rel).arity ==
-                        program.ArityOf(pred),
-                    "EDB arity mismatch for " + pred);
-    return &edb.tuples(rel);
-  }
-
-  bool Known(const std::string& pred, const Tuple& fact) const {
-    auto it = idb_set.find(pred);
-    return it != idb_set.end() && it->second.count(fact) > 0;
-  }
-
-  void Add(const std::string& pred, Tuple fact) {
-    if (idb_set[pred].insert(fact).second) {
-      idb_vec[pred].push_back(std::move(fact));
+    if (!join.has_value()) {
+      join.emplace(atoms, rule->head.args, rule->num_variables, lead, indexes);
     }
+    return join->Run(&head->next, &head->merged);
   }
 };
 
-// Matches the body of `rule` against the store; the atom at position
-// `delta_pos` (if >= 0) draws candidates from `delta` instead. Calls
-// `emit(head_fact)` for every satisfying binding.
-//
-// Atoms are matched in a bound-first order (sideways information
-// passing): the delta atom leads, then greedily the atom sharing the
-// most already-bound variables — a static join-order optimization that
-// never changes the result set.
-class RuleMatcher {
+// The relations of one evaluation: flat copies of the EDB relations the
+// program reads, made once, and the facts of every IDB predicate. Rules
+// read `merged` facts, so a round sees only what earlier rounds admitted.
+class Relations {
  public:
-  RuleMatcher(const DatalogRule& rule, const FactStore& store,
-              int delta_pos, const std::vector<Tuple>* delta)
-      : rule_(rule), store_(store), delta_pos_(delta_pos), delta_(delta) {
-    bindings_.assign(rule.num_variables, kUnassigned);
-    // Plan the matching order.
-    std::vector<char> placed(rule.body.size(), 0);
-    std::vector<char> bound(rule.num_variables, 0);
-    auto place = [&](std::size_t i) {
-      order_.push_back(static_cast<int>(i));
-      placed[i] = 1;
-      for (int v : rule.body[i].args) bound[v] = 1;
-    };
-    if (delta_pos >= 0) place(static_cast<std::size_t>(delta_pos));
-    while (order_.size() < rule.body.size()) {
-      int best = -1;
-      int best_bound = -1;
-      for (std::size_t i = 0; i < rule.body.size(); ++i) {
-        if (placed[i]) continue;
-        int bound_count = 0;
-        for (int v : rule.body[i].args) bound_count += bound[v];
-        if (bound_count > best_bound) {
-          best = static_cast<int>(i);
-          best_bound = bound_count;
-        }
+  Relations(const DatalogProgram& program, const Structure& edb) {
+    for (const std::string& pred : program.predicates()) {
+      const int arity = program.ArityOf(pred);
+      if (program.IsIdb(pred)) {
+        std::vector<int> columns(static_cast<std::size_t>(arity));
+        for (int c = 0; c < arity; ++c) columns[c] = c;
+        idb_.try_emplace(pred, columns);
+        continue;
       }
-      place(static_cast<std::size_t>(best));
+      const int rel = edb.vocabulary().IndexOf(pred);
+      if (rel < 0) continue;  // a predicate the EDB lacks holds no facts
+      CSPDB_CHECK_MSG(edb.vocabulary().symbol(rel).arity == arity,
+                      "EDB arity mismatch for " + pred);
+      edb_.emplace(pred, FlatRelation(edb, rel));
     }
   }
 
-  template <typename Emit>
-  void Run(Emit&& emit) {
-    Recurse(0, emit);
+  // `rule` over this evaluation's relations, with body atom `lead` (if
+  // >= 0) first and ranging over its predicate's fresh facts.
+  Firing MakeFiring(const DatalogRule& rule, int lead) {
+    std::vector<BodyAtom> atoms;
+    atoms.reserve(rule.body.size());
+    for (std::size_t i = 0; i < rule.body.size(); ++i) {
+      const DatalogAtom& atom = rule.body[i];
+      const DbRelation* rows = nullptr;
+      if (auto it = idb_.find(atom.predicate); it != idb_.end()) {
+        rows = static_cast<int>(i) == lead ? &it->second.fresh
+                                           : &it->second.merged;
+      } else if (auto e = edb_.find(atom.predicate); e != edb_.end()) {
+        rows = &e->second;
+      }
+      atoms.push_back({&atom.args, rows});
+    }
+    return {&rule, lead, std::move(atoms), &idb_.at(rule.head.predicate),
+            &indexes_, std::nullopt};
+  }
+
+  // Admits every predicate's `next` facts into `merged`; they become its
+  // `fresh` facts. Returns the number admitted.
+  int64_t Merge() {
+    int64_t admitted = 0;
+    for (auto& [pred, facts] : idb_) {
+      for (auto row : facts.next.rows()) facts.merged.AddRow(row.data());
+      admitted += static_cast<int64_t>(facts.next.size());
+      facts.fresh = std::move(facts.next);
+      facts.next = DbRelation(facts.merged.schema());
+    }
+    return admitted;
+  }
+
+  // The derived facts of every IDB predicate that derived at least one.
+  std::unordered_map<std::string, TupleSet> Facts() const {
+    std::unordered_map<std::string, TupleSet> out;
+    for (const auto& [pred, facts] : idb_) {
+      if (facts.merged.empty()) continue;
+      TupleSet& set = out[pred];
+      set.reserve(facts.merged.size());
+      for (auto row : facts.merged.rows()) set.insert(row.ToTuple());
+    }
+    return out;
   }
 
  private:
-  template <typename Emit>
-  void Recurse(std::size_t order_idx, Emit&& emit) {
-    if (order_idx == order_.size()) {
-      Tuple head;
-      head.reserve(rule_.head.args.size());
-      for (int v : rule_.head.args) {
-        CSPDB_CHECK(bindings_[v] != kUnassigned);  // safety guarantees this
-        head.push_back(bindings_[v]);
-      }
-      emit(std::move(head));
-      return;
-    }
-    int atom_idx = order_[order_idx];
-    const DatalogAtom& atom = rule_.body[atom_idx];
-    const std::vector<Tuple>* candidates =
-        atom_idx == delta_pos_ ? delta_
-                               : store_.Candidates(atom.predicate);
-    if (candidates == nullptr) return;
-    for (const Tuple& t : *candidates) {
-      // Try to unify atom args with t.
-      std::vector<int> newly_bound;
-      bool ok = true;
-      for (std::size_t i = 0; i < atom.args.size(); ++i) {
-        int v = atom.args[i];
-        if (bindings_[v] == kUnassigned) {
-          bindings_[v] = t[i];
-          newly_bound.push_back(v);
-        } else if (bindings_[v] != t[i]) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok) Recurse(order_idx + 1, emit);
-      for (int v : newly_bound) bindings_[v] = kUnassigned;
-    }
-  }
-
-  const DatalogRule& rule_;
-  const FactStore& store_;
-  int delta_pos_;
-  const std::vector<Tuple>* delta_;
-  std::vector<int> bindings_;
-  std::vector<int> order_;
+  // Node-based maps: plans keep pointers to the relations.
+  std::unordered_map<std::string, DbRelation> edb_;
+  std::unordered_map<std::string, IdbFacts> idb_;
+  JoinIndexes indexes_;
 };
 
 }  // namespace
@@ -151,37 +140,24 @@ bool DatalogResult::GoalDerived(const DatalogProgram& program) const {
 DatalogResult EvaluateNaive(const DatalogProgram& program,
                             const Structure& edb) {
   CSPDB_TIMER_SCOPE("datalog.naive");
-  FactStore store(program, edb);
+  Relations relations(program, edb);
+  std::vector<Firing> firings;
+  for (const DatalogRule& rule : program.rules()) {
+    firings.push_back(relations.MakeFiring(rule, -1));
+  }
   DatalogResult result;
-  bool changed = true;
-  while (changed) {
-    changed = false;
+  int64_t admitted = 0;
+  do {
     ++result.iterations;
     CSPDB_COUNT("datalog.iterations");
-    std::vector<std::pair<std::string, Tuple>> pending;
-    for (const DatalogRule& rule : program.rules()) {
-      RuleMatcher matcher(rule, store, -1, nullptr);
-      matcher.Run([&](Tuple head) {
-        ++result.derivations;
-        CSPDB_COUNT("datalog.derivations");
-        if (!store.Known(rule.head.predicate, head)) {
-          pending.push_back({rule.head.predicate, std::move(head)});
-        }
-      });
-    }
-    int64_t admitted = 0;
-    for (auto& [pred, fact] : pending) {
-      if (!store.Known(pred, fact)) {
-        store.Add(pred, std::move(fact));
-        changed = true;
-        ++admitted;
-      }
-    }
+    for (Firing& firing : firings) result.derivations += firing.Run();
+    admitted = relations.Merge();
     result.delta_sizes.push_back(admitted);
     CSPDB_COUNT_N("datalog.delta_facts", admitted);
     CSPDB_TRACE_COUNTER("datalog.delta", admitted);
-  }
-  result.idb = std::move(store.idb_set);
+  } while (admitted > 0);
+  CSPDB_COUNT_N("datalog.derivations", result.derivations);
+  result.idb = relations.Facts();
   CSPDB_AUDIT(AuditOrDie("naive Datalog fixpoint",
                          ValidateDatalogResult(program, edb, result)));
   return result;
@@ -190,64 +166,36 @@ DatalogResult EvaluateNaive(const DatalogProgram& program,
 DatalogResult EvaluateSemiNaive(const DatalogProgram& program,
                                 const Structure& edb) {
   CSPDB_TIMER_SCOPE("datalog.semi_naive");
-  FactStore store(program, edb);
-  DatalogResult result;
-
-  // Round 0: all rules against the (empty-IDB) store.
-  std::unordered_map<std::string, std::vector<Tuple>> delta;
-  ++result.iterations;
-  CSPDB_COUNT("datalog.iterations");
+  Relations relations(program, edb);
+  // Round 0 fires every rule on the empty IDB. Each later round fires
+  // every rule once per IDB body atom, that atom ranging over the fresh
+  // facts and every other atom over the merged ones.
+  std::vector<Firing> first_round;
+  std::vector<Firing> delta_rounds;
   for (const DatalogRule& rule : program.rules()) {
-    RuleMatcher matcher(rule, store, -1, nullptr);
-    matcher.Run([&](Tuple head) {
-      ++result.derivations;
-      CSPDB_COUNT("datalog.derivations");
-      delta[rule.head.predicate].push_back(std::move(head));
-    });
-  }
-
-  while (true) {
-    // Merge the delta, deduplicating against known facts.
-    std::unordered_map<std::string, std::vector<Tuple>> fresh;
-    int64_t admitted = 0;
-    for (auto& [pred, facts] : delta) {
-      for (Tuple& fact : facts) {
-        if (!store.Known(pred, fact)) {
-          fresh[pred].push_back(fact);
-          store.Add(pred, std::move(fact));
-          ++admitted;
-        }
+    first_round.push_back(relations.MakeFiring(rule, -1));
+    for (std::size_t p = 0; p < rule.body.size(); ++p) {
+      if (program.IsIdb(rule.body[p].predicate)) {
+        delta_rounds.push_back(relations.MakeFiring(rule, static_cast<int>(p)));
       }
     }
+  }
+  DatalogResult result;
+  ++result.iterations;
+  CSPDB_COUNT("datalog.iterations");
+  for (Firing& firing : first_round) result.derivations += firing.Run();
+  while (true) {
+    const int64_t admitted = relations.Merge();
     result.delta_sizes.push_back(admitted);
     CSPDB_COUNT_N("datalog.delta_facts", admitted);
     CSPDB_TRACE_COUNTER("datalog.delta", admitted);
-    if (fresh.empty()) break;
+    if (admitted == 0) break;
     ++result.iterations;
     CSPDB_COUNT("datalog.iterations");
-
-    // Fire each rule once per IDB body position, with that position
-    // restricted to the fresh facts.
-    std::unordered_map<std::string, std::vector<Tuple>> next_delta;
-    for (const DatalogRule& rule : program.rules()) {
-      for (std::size_t p = 0; p < rule.body.size(); ++p) {
-        const std::string& pred = rule.body[p].predicate;
-        if (!program.IsIdb(pred)) continue;
-        auto it = fresh.find(pred);
-        if (it == fresh.end()) continue;
-        RuleMatcher matcher(rule, store, static_cast<int>(p), &it->second);
-        matcher.Run([&](Tuple head) {
-          ++result.derivations;
-          CSPDB_COUNT("datalog.derivations");
-          if (!store.Known(rule.head.predicate, head)) {
-            next_delta[rule.head.predicate].push_back(std::move(head));
-          }
-        });
-      }
-    }
-    delta = std::move(next_delta);
+    for (Firing& firing : delta_rounds) result.derivations += firing.Run();
   }
-  result.idb = std::move(store.idb_set);
+  CSPDB_COUNT_N("datalog.derivations", result.derivations);
+  result.idb = relations.Facts();
   CSPDB_AUDIT(AuditOrDie("semi-naive Datalog fixpoint",
                          ValidateDatalogResult(program, edb, result)));
   return result;

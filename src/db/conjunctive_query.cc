@@ -1,8 +1,10 @@
 #include "db/conjunctive_query.h"
 
+#include <string>
+#include <unordered_map>
 #include <utility>
 
-#include "db/algebra.h"
+#include "db/body_join.h"
 #include "relational/homomorphism.h"
 #include "util/check.h"
 
@@ -87,80 +89,32 @@ std::string ConjunctiveQuery::ToString() const {
 }
 
 DbRelation Evaluate(const ConjunctiveQuery& q, const Structure& db) {
-  // Per-atom relations keyed by query-variable id (repeated arguments are
-  // turned into equality selections followed by projection).
-  std::vector<DbRelation> parts;
-  bool impossible = false;
-  for (const Atom& atom : q.body()) {
-    std::vector<int> distinct_args;
-    std::vector<int> keep_pos;
-    for (std::size_t i = 0; i < atom.args.size(); ++i) {
-      bool first = true;
-      for (std::size_t j = 0; j < i; ++j) {
-        if (atom.args[j] == atom.args[i]) {
-          first = false;
-          break;
-        }
-      }
-      if (first) {
-        distinct_args.push_back(atom.args[i]);
-        keep_pos.push_back(static_cast<int>(i));
-      }
-    }
-    DbRelation part(distinct_args);
-    int rel = db.vocabulary().IndexOf(atom.predicate);
-    if (rel < 0) {
-      impossible = true;
-    } else {
-      CSPDB_CHECK_MSG(db.vocabulary().symbol(rel).arity ==
-                          static_cast<int>(atom.args.size()),
-                      "atom arity differs from database relation " +
-                          atom.predicate);
-      for (const Tuple& t : db.tuples(rel)) {
-        bool agree = true;
-        for (std::size_t i = 0; i < atom.args.size() && agree; ++i) {
-          for (std::size_t j = 0; j < i; ++j) {
-            if (atom.args[j] == atom.args[i] && t[j] != t[i]) {
-              agree = false;
-              break;
-            }
-          }
-        }
-        if (!agree) continue;
-        Tuple row;
-        row.reserve(keep_pos.size());
-        for (int p : keep_pos) row.push_back(t[p]);
-        part.AddRow(std::move(row));
-      }
-    }
-    parts.push_back(std::move(part));
-  }
-
   // Result schema: head positions 0..n-1 (attribute i = head slot i).
   std::vector<int> out_schema(q.head().size());
   for (std::size_t i = 0; i < out_schema.size(); ++i) {
     out_schema[i] = static_cast<int>(i);
   }
-  DbRelation out(out_schema);
-  if (impossible) return out;
+  DbRelation out(std::move(out_schema));
 
-  DbRelation joined = parts.empty() ? DbRelation({}) : JoinAll(parts);
-  if (parts.empty()) joined.AddRow(Tuple{});  // empty body is trivially true
-
-  std::vector<int> head_positions;
-  head_positions.reserve(q.head().size());
-  for (int h : q.head()) {
-    int p = joined.AttributePosition(h);
-    CSPDB_CHECK_MSG(p >= 0,
-                    "unsafe query: head variable missing from the body");
-    head_positions.push_back(p);
+  // One flat copy per database relation the body reads.
+  std::unordered_map<std::string, DbRelation> relations;
+  std::vector<BodyAtom> atoms;
+  for (const Atom& atom : q.body()) {
+    int rel = db.vocabulary().IndexOf(atom.predicate);
+    if (rel < 0) return out;  // an atom no fact can match
+    CSPDB_CHECK_MSG(db.vocabulary().symbol(rel).arity ==
+                        static_cast<int>(atom.args.size()),
+                    "atom arity differs from database relation " +
+                        atom.predicate);
+    auto it = relations.find(atom.predicate);
+    if (it == relations.end()) {
+      it = relations.emplace(atom.predicate, FlatRelation(db, rel)).first;
+    }
+    atoms.push_back({&atom.args, &it->second});
   }
-  for (auto row : joined.rows()) {
-    Tuple projected;
-    projected.reserve(head_positions.size());
-    for (int p : head_positions) projected.push_back(row[p]);
-    out.AddRow(std::move(projected));
-  }
+  JoinIndexes indexes;
+  BodyJoin(atoms, q.head(), q.num_variables(), /*lead=*/-1, &indexes)
+      .Run(&out);
   return out;
 }
 

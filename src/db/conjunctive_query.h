@@ -64,11 +64,13 @@ class ConjunctiveQuery {
   Vocabulary body_vocabulary_;
 };
 
-/// Evaluates Q on the database `db` by joining the subgoal relations and
-/// projecting onto the head (the classical CQ = join-evaluation link).
-/// Database predicates are matched to atom predicates by name; an atom
-/// over a predicate absent from `db` yields an empty result. The result
-/// schema lists head positions 0..n-1.
+/// Evaluates Q on the database `db`: the head projections of the body's
+/// satisfying bindings, enumerated by the indexed body join of
+/// db/body_join.h (the classical CQ = join-evaluation link, without a
+/// materialized intermediate join). Database predicates are matched to
+/// atom predicates by name; an atom over a predicate absent from `db`
+/// yields an empty result. The result schema lists head positions
+/// 0..n-1.
 DbRelation Evaluate(const ConjunctiveQuery& q, const Structure& db);
 
 /// True if the Boolean query "exists a satisfying assignment of Q's body"

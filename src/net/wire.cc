@@ -1,6 +1,7 @@
 #include "net/wire.h"
 
 #include <cstring>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -473,12 +474,73 @@ bool DecodeProgram(Reader* r, std::optional<DatalogProgram>* out) {
   }
   std::string goal;
   if (!r->ReadString(kMaxNameBytes, &goal)) return false;
-  if (!goal.empty() && head_predicates.count(goal) == 0) {
+  // The fixpoint answer is the goal's facts: a program without one has no
+  // answer to give.
+  if (head_predicates.count(goal) == 0) {
     return r->Fail("datalog goal is not an IDB predicate");
   }
   out->emplace();
   for (PendingRule& p : pending) (*out)->AddRule(std::move(p.rule));
-  if (!goal.empty()) (*out)->SetGoal(goal);
+  (*out)->SetGoal(goal);
+  return true;
+}
+
+// --- cross-component checks -------------------------------------------------
+//
+// Shapes whose parts each decode fine but which the engine would meet
+// with a CSPDB_CHECK, aborting the node. The engine checks stay as
+// programmer-error guards; a request gets its error here.
+
+bool CheckEvalCq(Reader* r, const ConjunctiveQuery& q, const Structure& db) {
+  std::vector<char> in_body(static_cast<std::size_t>(q.num_variables()), 0);
+  for (const Atom& atom : q.body()) {
+    const int rel = db.vocabulary().IndexOf(atom.predicate);
+    if (rel >= 0 && db.vocabulary().symbol(rel).arity !=
+                        static_cast<int>(atom.args.size())) {
+      return r->Fail("atom arity differs from database relation " +
+                     atom.predicate);
+    }
+    for (int v : atom.args) in_body[v] = 1;
+  }
+  for (int h : q.head()) {
+    if (!in_body[h]) return r->Fail("unsafe query: head variable not in body");
+  }
+  return true;
+}
+
+bool CheckDatalog(Reader* r, const DatalogProgram& program,
+                  const Structure& edb) {
+  for (const std::string& pred : program.predicates()) {
+    if (program.IsIdb(pred)) continue;
+    const int rel = edb.vocabulary().IndexOf(pred);
+    if (rel >= 0 && edb.vocabulary().symbol(rel).arity !=
+                        program.ArityOf(pred)) {
+      return r->Fail("EDB arity mismatch for " + pred);
+    }
+  }
+  return true;
+}
+
+bool CheckContainment(Reader* r, const ConjunctiveQuery& q1,
+                      const ConjunctiveQuery& q2) {
+  if (q1.head().size() != q2.head().size()) {
+    return r->Fail("containment requires equal head arity");
+  }
+  const Vocabulary& v1 = q1.body_vocabulary();
+  const Vocabulary& v2 = q2.body_vocabulary();
+  for (int i = 0; i < v2.size(); ++i) {
+    const int j = v1.IndexOf(v2.symbol(i).name);
+    if (j >= 0 && v1.symbol(j).arity != v2.symbol(i).arity) {
+      return r->Fail("queries disagree on arity of " + v2.symbol(i).name);
+    }
+  }
+  // The canonical databases mark head slot i with a predicate "__P<i>".
+  for (std::size_t i = 0; i < q1.head().size(); ++i) {
+    const std::string marker = "__P" + std::to_string(i);
+    if (v1.IndexOf(marker) >= 0 || v2.IndexOf(marker) >= 0) {
+      return r->Fail("predicate name " + marker + " is reserved");
+    }
+  }
   return true;
 }
 
@@ -665,7 +727,8 @@ std::optional<ServiceRequest> DecodeRequestPayload(const uint8_t* data,
     case static_cast<uint8_t>(RequestKind::kEvalCq): {
       std::optional<ConjunctiveQuery> query;
       std::optional<Structure> db;
-      if (DecodeQuery(&r, &query) && DecodeStructure(&r, &db)) {
+      if (DecodeQuery(&r, &query) && DecodeStructure(&r, &db) &&
+          CheckEvalCq(&r, *query, *db)) {
         request = EvalCqRequest{std::move(*query), std::move(*db)};
       }
       break;
@@ -673,7 +736,8 @@ std::optional<ServiceRequest> DecodeRequestPayload(const uint8_t* data,
     case static_cast<uint8_t>(RequestKind::kDatalogFixpoint): {
       std::optional<DatalogProgram> program;
       std::optional<Structure> edb;
-      if (DecodeProgram(&r, &program) && DecodeStructure(&r, &edb)) {
+      if (DecodeProgram(&r, &program) && DecodeStructure(&r, &edb) &&
+          CheckDatalog(&r, *program, *edb)) {
         request = DatalogFixpointRequest{std::move(*program), std::move(*edb)};
       }
       break;
@@ -681,7 +745,8 @@ std::optional<ServiceRequest> DecodeRequestPayload(const uint8_t* data,
     case static_cast<uint8_t>(RequestKind::kCheckContainment): {
       std::optional<ConjunctiveQuery> q1;
       std::optional<ConjunctiveQuery> q2;
-      if (DecodeQuery(&r, &q1) && DecodeQuery(&r, &q2)) {
+      if (DecodeQuery(&r, &q1) && DecodeQuery(&r, &q2) &&
+          CheckContainment(&r, *q1, *q2)) {
         request = CheckContainmentRequest{std::move(*q1), std::move(*q2)};
       }
       break;

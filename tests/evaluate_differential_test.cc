@@ -1,9 +1,11 @@
-// Differential tests for conjunctive-query evaluation: the join-based
-// Evaluate() against a brute-force assignment enumerator, on random
-// queries and databases.
+// Differential tests for conjunctive-query evaluation: Evaluate() against
+// a brute-force assignment enumerator, on random queries over unary,
+// binary and ternary predicates (some absent from the database), with
+// repeated variables inside atoms and in heads, and Boolean heads.
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "boolean/hell_nesetril.h"
@@ -57,37 +59,73 @@ DbRelation BruteForceEvaluate(const ConjunctiveQuery& q,
   return out;
 }
 
+struct Predicate {
+  const char* name;
+  int arity;
+};
+
+// Query predicates. "M" is in no database; "U" and "R" are dropped from
+// some.
+constexpr Predicate kPredicates[] = {{"E", 2}, {"U", 1}, {"R", 3}, {"M", 2}};
+
+// One to four atoms over up to four variables, drawn with repeats (so an
+// atom may repeat a variable, as in E(x,x) or R(x,y,x)); a head of zero
+// to three body variables, repeats allowed. "M" appears in about one
+// query in ten.
 ConjunctiveQuery RandomQuery(Rng* rng) {
-  int vars = rng->UniformInt(2, 4);
-  int atoms = rng->UniformInt(1, 4);
+  const int vars = rng->UniformInt(1, 4);
+  const int atoms = rng->UniformInt(1, 4);
   std::vector<Atom> body;
-  std::vector<char> used(vars, 0);
+  std::vector<int> body_vars;
   for (int i = 0; i < atoms; ++i) {
-    int a = rng->UniformInt(0, vars - 1);
-    int b = rng->UniformInt(0, vars - 1);
-    used[a] = used[b] = 1;
-    body.push_back({"E", {a, b}});
+    const Predicate& pred = rng->Bernoulli(0.04)
+                                ? kPredicates[3]
+                                : kPredicates[rng->UniformInt(0, 2)];
+    Atom atom{pred.name, {}};
+    for (int j = 0; j < pred.arity; ++j) {
+      atom.args.push_back(rng->UniformInt(0, vars - 1));
+      body_vars.push_back(atom.args.back());
+    }
+    body.push_back(std::move(atom));
   }
-  // Head: up to two body variables.
   std::vector<int> head;
-  for (int v = 0; v < vars && head.size() < 2; ++v) {
-    if (used[v]) head.push_back(v);
-  }
-  // Drop unused variables by remapping (keep it simple: ensure all
-  // variables occur by adding self-loops for unused ones).
-  for (int v = 0; v < vars; ++v) {
-    if (!used[v]) body.push_back({"E", {v, v}});
+  const int head_len = rng->UniformInt(0, 3);
+  for (int i = 0; i < head_len; ++i) {
+    head.push_back(
+        body_vars[rng->UniformInt(0, static_cast<int>(body_vars.size()) - 1)]);
   }
   return ConjunctiveQuery(vars, std::move(head), std::move(body));
 }
 
+Structure RandomDatabase(Rng* rng) {
+  Vocabulary voc;
+  voc.AddSymbol("E", 2);
+  if (rng->Bernoulli(0.85)) voc.AddSymbol("U", 1);
+  if (rng->Bernoulli(0.85)) voc.AddSymbol("R", 3);
+  const int n = rng->UniformInt(1, 5);
+  Structure db(voc, n);
+  for (int rel = 0; rel < voc.size(); ++rel) {
+    const int arity = voc.symbol(rel).arity;
+    const double density = arity == 3 ? 0.15 : 0.4;
+    Tuple t(static_cast<std::size_t>(arity), 0);
+    while (true) {
+      if (rng->Bernoulli(density)) db.AddTuple(rel, t);
+      int pos = arity - 1;
+      while (pos >= 0 && ++t[pos] == n) t[pos--] = 0;
+      if (pos < 0) break;
+    }
+  }
+  return db;
+}
+
 TEST(EvaluateDifferential, RandomQueriesOnRandomDatabases) {
   Rng rng(3);
-  for (int trial = 0; trial < 20; ++trial) {
+  for (int trial = 0; trial < 250; ++trial) {
     ConjunctiveQuery q = RandomQuery(&rng);
-    Structure db = RandomDigraph(4, 0.4, &rng, /*allow_loops=*/true);
+    Structure db = RandomDatabase(&rng);
     DbRelation fast = Evaluate(q, db);
     DbRelation slow = BruteForceEvaluate(q, db);
+    EXPECT_EQ(fast.arity(), static_cast<int>(q.head().size()));
     EXPECT_EQ(fast.size(), slow.size()) << trial << " " << q.ToString();
     for (auto row : slow.rows()) {
       EXPECT_TRUE(fast.HasRow(row.ToTuple())) << trial << " " << q.ToString();

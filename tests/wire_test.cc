@@ -15,7 +15,10 @@
 
 #include <gtest/gtest.h>
 
+#include "datalog/program.h"
+#include "db/conjunctive_query.h"
 #include "net/wire.h"
+#include "relational/structure.h"
 #include "service/fingerprint.h"
 #include "service/request.h"
 #include "service/workload.h"
@@ -280,6 +283,56 @@ TEST(WireRequest, SemanticViolationsRejected) {
     p.push_back('E');
     u32(&p, 0);  // arity 0
     expect_reject(p, "relation arity 0");
+  }
+
+  // Shapes whose parts each decode alone but that an engine meets with a
+  // CSPDB_CHECK (an abort), so the decoder must refuse the whole request.
+  Vocabulary binary;
+  binary.AddSymbol("E", 2);
+  Structure graph(binary, 3);
+  graph.AddTuple(0, {0, 1});
+  Vocabulary unary;
+  unary.AddSymbol("E", 1);
+  Structure unary_e(unary, 3);
+  unary_e.AddTuple(0, {1});
+  DatalogProgram closure;
+  closure.AddRule({{"T", {0, 1}}, {{"E", {0, 1}}}, 2});
+  DatalogProgram closure_with_goal = closure;
+  closure_with_goal.SetGoal("T");
+  const ConjunctiveQuery edge(2, {0}, {{"E", {0, 1}}});
+
+  expect_reject(Encode(service::EvalCqRequest{edge, unary_e}),
+                "EvalCq atom arity differs from the database relation");
+  expect_reject(Encode(service::EvalCqRequest{
+                    ConjunctiveQuery(3, {2}, {{"E", {0, 1}}}), graph}),
+                "EvalCq head variable in no body atom");
+  expect_reject(
+      Encode(service::DatalogFixpointRequest{closure_with_goal, unary_e}),
+      "Datalog EDB predicate arity differs from the EDB relation");
+  expect_reject(Encode(service::DatalogFixpointRequest{closure, graph}),
+                "Datalog program without a goal");
+  expect_reject(Encode(service::CheckContainmentRequest{
+                    ConjunctiveQuery(2, {}, {{"E", {0, 1}}}),
+                    ConjunctiveQuery(1, {}, {{"E", {0}}})}),
+                "containment queries disagree on a predicate's arity");
+  expect_reject(Encode(service::CheckContainmentRequest{
+                    edge, ConjunctiveQuery(2, {}, {{"E", {0, 1}}})}),
+                "containment queries with different head lengths");
+  expect_reject(Encode(service::CheckContainmentRequest{
+                    ConjunctiveQuery(2, {0}, {{"__P0", {0, 1}}}), edge}),
+                "containment query using a head-marker predicate name");
+
+  // The same components in agreeing combinations decode.
+  std::string error;
+  for (const ServiceRequest& ok :
+       {ServiceRequest{service::EvalCqRequest{edge, graph}},
+        ServiceRequest{service::DatalogFixpointRequest{closure_with_goal,
+                                                       graph}},
+        ServiceRequest{service::CheckContainmentRequest{edge, edge}}}) {
+    const std::vector<uint8_t> payload = Encode(ok);
+    EXPECT_TRUE(DecodeRequestPayload(payload.data(), payload.size(), &error)
+                    .has_value())
+        << error;
   }
 }
 
