@@ -1,5 +1,5 @@
 // Serving-layer benchmarks (ISSUE 5): cache hit vs miss latency, the
-// canonicalization cost that the hit path pays, skewed-stream replay hit
+// labeling cost that the hit path pays, skewed-stream replay hit
 // rates, and overload shedding. Names follow BM_<op>/<size> and are
 // distilled by bench/distill_bench.py --mode service into
 // BENCH_service.json; the rate counters ride along as benchmark counters.
@@ -61,7 +61,7 @@ void PublishQuantiles(benchmark::State& state,
   state.counters["p999_ns"] = ExactQuantileNs(std::move(latencies_ns), 0.999);
 }
 
-// Latency of a guaranteed cache hit: canonicalize + lookup + map-back.
+// Latency of a guaranteed cache hit: label + lookup + map-back.
 void BM_service_hit(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   CspdbService service;
@@ -93,7 +93,8 @@ void BM_service_miss(benchmark::State& state) {
 }
 BENCHMARK(BM_service_miss)->Arg(12)->Arg(24)->Arg(48);
 
-// The fixed cost both paths pay: canonical labeling + fingerprint.
+// The labeling plus the canonical instance: what a miss pays before its
+// engine runs.
 void BM_canonicalize_csp(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const CspInstance csp = BenchCsp(n);
@@ -103,6 +104,17 @@ void BM_canonicalize_csp(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_canonicalize_csp)->Arg(12)->Arg(24)->Arg(48);
+
+// The labeling alone (fingerprint + permutation): the fixed cost of a hit.
+void BM_label_csp(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const CspInstance csp = BenchCsp(n);
+  for (auto _ : state) {
+    CspLabeling labeling = LabelCsp(csp);
+    benchmark::DoNotOptimize(labeling);
+  }
+}
+BENCHMARK(BM_label_csp)->Arg(12)->Arg(24)->Arg(48);
 
 // End-to-end replay of a Zipf-skewed stream on a fresh service: ns/op is
 // the whole-stream wall time; hit/coalesce rates ride as counters.

@@ -22,7 +22,7 @@ namespace cspdb {
 ///  - every allowed tuple uses declared values (in [0, num_values)) and
 ///    has the scope's arity;
 ///  - the insertion-order tuple list is duplicate-free and agrees with
-///    the O(1)-membership set;
+///    the sorted membership rows;
 ///  - scopes are unique across constraints (the Section 2 w.l.o.g.
 ///    consolidation) and the per-variable constraint index
 ///    (ConstraintsOn) is exact.

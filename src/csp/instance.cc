@@ -1,12 +1,44 @@
 #include "csp/instance.h"
 
 #include <algorithm>
+#include <compare>
+#include <cstdint>
+#include <numeric>
 #include <utility>
 
 #include "relational/homomorphism.h"
 #include "util/check.h"
 
 namespace cspdb {
+
+SortedRows::SortedRows(int arity, std::vector<Tuple>* tuples)
+    : arity_(arity) {
+  std::vector<Tuple>& in = *tuples;
+  // Equal tuples sort by insertion index, so the first of each run of
+  // equal tuples is its first occurrence.
+  std::vector<uint32_t> order(in.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    const std::strong_ordering c = in[a] <=> in[b];
+    return c != 0 ? c < 0 : a < b;
+  });
+  std::vector<char> first(in.size(), 0);
+  rows_.reserve(in.size() * static_cast<std::size_t>(arity));
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const Tuple& t = in[order[i]];
+    if (i > 0 && t == in[order[i - 1]]) continue;
+    first[order[i]] = 1;
+    rows_.insert(rows_.end(), t.begin(), t.end());
+    ++size_;
+  }
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    if (!first[i]) continue;
+    if (kept != i) in[kept] = std::move(in[i]);
+    ++kept;
+  }
+  in.erase(in.begin() + static_cast<std::ptrdiff_t>(kept), in.end());
+}
 
 CspInstance::CspInstance(int num_variables, int num_values)
     : num_variables_(num_variables), num_values_(num_values) {
@@ -30,18 +62,13 @@ int CspInstance::AddConstraint(std::vector<int> scope,
 
   auto it = scope_index_.find(scope);
   if (it != scope_index_.end()) {
-    // Consolidate: intersect with the existing relation (Section 2).
+    // Consolidate: intersect with the existing relation (Section 2),
+    // keeping its insertion order.
     Constraint& c = constraints_[it->second];
-    TupleSet incoming(allowed.begin(), allowed.end());
-    std::vector<Tuple> kept;
-    TupleSet kept_set;
-    for (const Tuple& t : c.allowed) {
-      if (incoming.count(t) > 0 && kept_set.insert(t).second) {
-        kept.push_back(t);
-      }
-    }
-    c.allowed = std::move(kept);
-    c.allowed_set = std::move(kept_set);
+    const SortedRows incoming(c.arity(), &allowed);
+    std::erase_if(c.allowed,
+                  [&](const Tuple& t) { return incoming.count(t) == 0; });
+    c.allowed_set = SortedRows(c.arity(), &c.allowed);
     return it->second;
   }
 
@@ -58,9 +85,8 @@ int CspInstance::AddConstraint(std::vector<int> scope,
     }
     if (first) c.distinct_slots.push_back(q);
   }
-  for (Tuple& t : allowed) {
-    if (c.allowed_set.insert(t).second) c.allowed.push_back(std::move(t));
-  }
+  c.allowed_set = SortedRows(c.arity(), &allowed);
+  c.allowed = std::move(allowed);
   constraints_.push_back(std::move(c));
   scope_index_.emplace(std::move(scope), id);
   // Register on each distinct variable once.

@@ -5,6 +5,8 @@
 #ifndef CSPDB_CSP_INSTANCE_H_
 #define CSPDB_CSP_INSTANCE_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <map>
 #include <string>
 #include <vector>
@@ -13,12 +15,68 @@
 
 namespace cspdb {
 
+/// A constraint relation's membership set: its distinct tuples as one
+/// flat array of rows in lexicographic order. `count` is a binary search,
+/// and reading the rows in index order visits the relation sorted.
+class SortedRows {
+ public:
+  SortedRows() = default;
+
+  /// Removes repeated tuples from `*tuples` (each of arity `arity`),
+  /// keeping the first occurrence of each in insertion order, and holds
+  /// the distinct tuples as sorted rows. One index sort does both.
+  SortedRows(int arity, std::vector<Tuple>* tuples);
+
+  int arity() const { return arity_; }
+
+  /// Number of distinct tuples.
+  std::size_t size() const { return size_; }
+
+  /// The `i`-th smallest tuple, as `arity()` consecutive values.
+  const int* row(std::size_t i) const { return rows_.data() + i * arity_; }
+
+  /// 1 if `t` is one of the rows, else 0 (so for every tuple of another
+  /// arity). Inline: solvers and validators call it per search node.
+  std::size_t count(const Tuple& t) const {
+    if (static_cast<int>(t.size()) != arity_ || size_ == 0) return 0;
+    const int* key = t.data();
+    auto less = [&](const int* r) {
+      for (int k = 0; k < arity_; ++k) {
+        if (r[k] != key[k]) return r[k] < key[k];
+      }
+      return false;
+    };
+    // Branch-free lower bound: `base` ends on the last row below `t`, or
+    // on the first row if none is.
+    const int* base = rows_.data();
+    for (std::size_t n = size_; n > 1; n -= n / 2) {
+      const int* mid = base + n / 2 * arity_;
+      base = less(mid) ? mid : base;
+    }
+    if (less(base)) base += arity_;
+    return base != rows_.data() + rows_.size() &&
+                   std::equal(key, key + arity_, base)
+               ? 1
+               : 0;
+  }
+
+  /// Set equality.
+  friend bool operator==(const SortedRows& a, const SortedRows& b) {
+    return a.size_ == b.size_ && a.rows_ == b.rows_;
+  }
+
+ private:
+  int arity_ = 0;
+  std::size_t size_ = 0;
+  std::vector<int> rows_;  // size_ rows of arity_ values, row after row
+};
+
 /// One constraint (t, R): `scope` is the variable tuple t, `allowed` the
 /// relation R of value tuples of the same arity.
 struct Constraint {
   std::vector<int> scope;
   std::vector<Tuple> allowed;   ///< insertion order, deduplicated
-  TupleSet allowed_set;         ///< same tuples, O(1) membership
+  SortedRows allowed_set;       ///< same tuples, sorted membership rows
 
   /// Slots holding the first occurrence of each scope variable, in scope
   /// order. Revision loops iterate these instead of rescanning the scope

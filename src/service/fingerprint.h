@@ -1,18 +1,25 @@
 // Canonical request fingerprints for the serving layer (ISSUE 5 /
 // DESIGN.md "Serving layer"). A fingerprint is a deterministic 128-bit
 // digest of a *canonicalized* request: CSP instances and query bodies are
-// relabeled by an individualization–refinement pass over their constraint
+// labeled by an individualization–refinement pass over their constraint
 // hypergraph, so two requests that differ only by variable renaming,
 // constraint reordering, or tuple reordering digest identically — the
 // per-structure artifact reuse that HyperBench-style repetitive workloads
 // reward (PAPERS.md).
+//
+// A CSP instance is labeled and relabeled in two steps. LabelCsp computes
+// the fingerprint and the canonical permutation; it reads each
+// constraint's sorted membership rows (Constraint::allowed_set) and
+// builds no tuples. RelabeledCsp builds the canonical instance from that
+// permutation. The service labels every request and relabels only on the
+// compute path, so a cache hit pays for the labeling alone.
 //
 // Soundness contract (the cache key argument in DESIGN.md): when
 // `exact` is true, the digest hashes the *complete* canonical encoding —
 // every scope, every tuple, every domain bound — so two exact fingerprints
 // collide only if the requests are isomorphic (identical up to variable
 // relabeling) or on a 2^-128 hash collision. Isomorphic requests share
-// answers *after* un-relabeling, which is why CanonicalCsp carries the
+// answers *after* un-relabeling, which is why the labeling carries the
 // permutation. When the individualization search exceeds its budget
 // (pathologically symmetric instances), the fingerprint is flagged
 // `exact = false` and salted with a process-unique nonce so it never
@@ -58,21 +65,34 @@ struct FingerprintHash {
   }
 };
 
-/// A CSP instance in canonical variable order. `perm[v]` is the canonical
-/// index of original variable `v`; `canonical` is the instance relabeled
-/// by `perm` with constraints in canonical order. An answer computed on
-/// `canonical` maps back to the original via
+/// The canonical labeling of a CSP instance: its fingerprint, and
+/// `perm[v]`, the canonical index of original variable `v`.
+struct CspLabeling {
+  Fingerprint fingerprint;
+  std::vector<int> perm;
+};
+
+/// Labels `csp` (see file comment). Deterministic; invariant under
+/// variable renaming, constraint reordering, and tuple reordering when
+/// fingerprint.exact.
+CspLabeling LabelCsp(const CspInstance& csp);
+
+/// `csp` relabeled by `perm` (one entry per variable), with constraints
+/// in canonical order and each relation's tuples sorted. Given
+/// LabelCsp(csp).perm, isomorphic instances relabel to identical
+/// instances, and an answer computed on the result maps back to `csp` via
 ///   original_solution[v] = canonical_solution[perm[v]].
+CspInstance RelabeledCsp(const CspInstance& csp,
+                         const std::vector<int>& perm);
+
+/// A CSP instance's labeling together with its canonical instance.
 struct CanonicalCsp {
   Fingerprint fingerprint;
   std::vector<int> perm;
   CspInstance canonical;
 };
 
-/// Canonicalizes `csp` (see file comment). Deterministic; invariant under
-/// variable renaming, constraint reordering, and tuple reordering when
-/// fingerprint.exact. The instance should already have consolidated
-/// scopes (CspInstance::AddConstraint guarantees this).
+/// LabelCsp followed by RelabeledCsp.
 CanonicalCsp CanonicalizeCsp(const CspInstance& csp);
 
 /// Fingerprint of a conjunctive query: head variables are individualized

@@ -190,8 +190,10 @@ CspdbService::CanonicalRequest CspdbService::Canonicalize(
   CanonicalRequest canon;
   switch (KindOf(request)) {
     case RequestKind::kSolveCsp: {
-      canon.csp = CanonicalizeCsp(std::get<SolveCspRequest>(request).instance);
-      canon.fingerprint = canon.csp->fingerprint;
+      CspLabeling labeling =
+          LabelCsp(std::get<SolveCspRequest>(request).instance);
+      canon.fingerprint = labeling.fingerprint;
+      canon.perm = std::move(labeling.perm);
       break;
     }
     case RequestKind::kEvalCq: {
@@ -237,8 +239,11 @@ std::shared_ptr<const EngineAnswer> CspdbService::RunEngine(
       solver_options.node_limit = options_.solver_node_limit;
       solver_options.cancel = &cancel;
       // Always solved in canonical space: every isomorphic request maps
-      // onto the same deterministic engine run.
-      BacktrackingSolver solver(canon.csp->canonical, solver_options);
+      // onto the same deterministic engine run. Only this path builds the
+      // canonical instance; a hit, a probe or a forward never does.
+      const CspInstance canonical = RelabeledCsp(
+          std::get<SolveCspRequest>(request).instance, canon.perm);
+      BacktrackingSolver solver(canonical, solver_options);
       CspAnswer answer;
       answer.solution = solver.Solve();
       *work_items = solver.stats().nodes;
@@ -289,15 +294,15 @@ std::shared_ptr<const EngineAnswer> CspdbService::RunEngine(
 
 EngineAnswer CspdbService::MapBack(const EngineAnswer& canonical,
                                    const CanonicalRequest& canon) const {
-  if (!canon.csp.has_value()) return canonical;
-  const CspAnswer& in = std::get<CspAnswer>(canonical);
+  const auto* in = std::get_if<CspAnswer>(&canonical);
+  if (in == nullptr) return canonical;
   CspAnswer out;
-  out.complete = in.complete;
-  if (in.solution.has_value()) {
-    const std::vector<int>& perm = canon.csp->perm;
+  out.complete = in->complete;
+  if (in->solution.has_value()) {
+    const std::vector<int>& perm = canon.perm;
     std::vector<int> solution(perm.size());
     for (std::size_t v = 0; v < perm.size(); ++v) {
-      solution[v] = (*in.solution)[perm[v]];
+      solution[v] = (*in->solution)[perm[v]];
     }
     out.solution = std::move(solution);
   }

@@ -5,9 +5,10 @@
 //   canonicalize -> result cache -> single-flight -> engine
 //
 // 1. The request is canonically fingerprinted (service/fingerprint.h);
-//    SolveCsp requests are additionally relabeled so the engine always
-//    sees the canonical instance and the cache stores canonical-space
-//    answers, mapped back through each requester's own permutation.
+//    a SolveCsp request also keeps its labeling's permutation. The engine
+//    always runs on the canonical instance, which only the compute path
+//    builds, and the cache stores canonical-space answers, mapped back
+//    through each requester's own permutation.
 // 2. The sharded LRU result cache (service/result_cache.h) answers
 //    repeats — including negative answers (UNSAT, empty, not-contained).
 // 3. Concurrent identical misses coalesce onto one engine run
@@ -42,6 +43,7 @@
 #include <future>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "exec/cancellation.h"
 #include "exec/thread_pool.h"
@@ -170,10 +172,11 @@ class CspdbService {
 
  private:
   // Canonical form of a request: the cache/single-flight key, plus the
-  // relabeling data SolveCsp needs to map answers back.
+  // permutation SolveCsp needs to relabel the instance for the engine and
+  // to map answers back.
   struct CanonicalRequest {
     Fingerprint fingerprint;
-    std::optional<CanonicalCsp> csp;  // engaged for kSolveCsp
+    std::vector<int> perm;  // kSolveCsp: variable -> canonical index
   };
 
   CanonicalRequest Canonicalize(const ServiceRequest& request) const;
@@ -192,7 +195,8 @@ class CspdbService {
                                          const Forward& forward = {},
                                          Fingerprint* probe = nullptr);
 
-  // Runs the engine for `request` (canonical instance for SolveCsp).
+  // Runs the engine for `request` (for SolveCsp, on the canonical
+  // instance, which it builds from canon.perm).
   // Returns nullptr iff the run was deadline/budget-aborted. On success
   // `*work_items` is set to the engine-specific work size (search nodes,
   // result rows, derived facts, ...) for the stats store.

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "analysis/validate_csp.h"
 #include "boolean/hell_nesetril.h"
 #include "csp/convert.h"
 #include "csp/instance.h"
@@ -50,6 +55,128 @@ TEST(CspInstance, ConsolidationIntersectsSameScope) {
   EXPECT_EQ(csp.constraint(0).allowed.size(), 2u);
   EXPECT_TRUE(csp.constraint(0).allowed_set.count({1, 2}) > 0);
   EXPECT_TRUE(csp.constraint(0).allowed_set.count({2, 0}) > 0);
+}
+
+TEST(CspInstance, RepeatedTuplesKeepTheirFirstOccurrenceInOrder) {
+  CspInstance csp(3, 3);
+  csp.AddConstraint({0, 2},
+                    {{2, 1}, {0, 0}, {2, 1}, {1, 2}, {0, 0}, {0, 0}, {1, 0}});
+  const Constraint& c = csp.constraint(0);
+  EXPECT_EQ(c.allowed,
+            (std::vector<Tuple>{{2, 1}, {0, 0}, {1, 2}, {1, 0}}));
+  EXPECT_EQ(c.allowed_set.size(), 4u);
+
+  // The membership rows are the same tuples, sorted.
+  std::vector<Tuple> rows;
+  for (std::size_t i = 0; i < c.allowed_set.size(); ++i) {
+    rows.emplace_back(c.allowed_set.row(i),
+                      c.allowed_set.row(i) + c.allowed_set.arity());
+  }
+  EXPECT_EQ(rows, (std::vector<Tuple>{{0, 0}, {1, 0}, {1, 2}, {2, 1}}));
+}
+
+TEST(CspInstance, ConsolidationKeepsTheExistingOrder) {
+  CspInstance csp(2, 3);
+  csp.AddConstraint({1, 0}, {{2, 2}, {0, 1}, {1, 1}, {2, 0}, {1, 2}});
+  // Incoming order and repeats do not matter; (0, 0) is not in the
+  // existing relation.
+  csp.AddConstraint({1, 0}, {{1, 2}, {0, 0}, {2, 2}, {1, 2}, {2, 0}});
+  ASSERT_EQ(csp.constraints().size(), 1u);
+  const Constraint& c = csp.constraint(0);
+  EXPECT_EQ(c.allowed, (std::vector<Tuple>{{2, 2}, {2, 0}, {1, 2}}));
+  EXPECT_EQ(c.allowed_set.size(), 3u);
+  EXPECT_EQ(c.allowed_set.count({0, 1}), 0u);
+  EXPECT_EQ(c.allowed_set.count({1, 1}), 0u);
+  EXPECT_EQ(c.allowed_set.count({2, 0}), 1u);
+  EXPECT_FALSE(HasErrors(ValidateCspInstance(csp)));
+
+  // Intersecting with an empty relation empties it.
+  csp.AddConstraint({1, 0}, {});
+  EXPECT_TRUE(csp.constraint(0).allowed.empty());
+  EXPECT_EQ(csp.constraint(0).allowed_set.size(), 0u);
+  EXPECT_EQ(csp.constraint(0).allowed_set.count({2, 2}), 0u);
+}
+
+TEST(CspInstance, MembershipCountsByBinarySearch) {
+  CspInstance csp(3, 4);
+  csp.AddConstraint({0, 1, 2},
+                    {{3, 3, 3}, {1, 0, 2}, {0, 0, 0}, {1, 0, 1}, {2, 3, 0}});
+  const SortedRows& rows = csp.constraint(0).allowed_set;
+  ASSERT_EQ(rows.arity(), 3);
+  ASSERT_EQ(rows.size(), 5u);
+  // The first and last rows, and one in the middle.
+  EXPECT_EQ(rows.count({0, 0, 0}), 1u);
+  EXPECT_EQ(rows.count({3, 3, 3}), 1u);
+  EXPECT_EQ(rows.count({1, 0, 2}), 1u);
+  // Absent tuples below, between and above the rows.
+  EXPECT_EQ(rows.count({0, 0, 1}), 0u);
+  EXPECT_EQ(rows.count({1, 0, 0}), 0u);
+  EXPECT_EQ(rows.count({1, 1, 0}), 0u);
+  EXPECT_EQ(rows.count({3, 3, 2}), 0u);
+  EXPECT_EQ(rows.count({3, 3, 4}), 0u);
+  // Tuples of another arity, including prefixes of a row.
+  EXPECT_EQ(rows.count({}), 0u);
+  EXPECT_EQ(rows.count({0}), 0u);
+  EXPECT_EQ(rows.count({0, 0}), 0u);
+  EXPECT_EQ(rows.count({0, 0, 0, 0}), 0u);
+
+  // Every tuple of a random relation agrees with its insertion list.
+  Rng rng(41);
+  for (int trial = 0; trial < 20; ++trial) {
+    CspInstance random(2, 5);
+    std::vector<Tuple> allowed;
+    for (int t = rng.UniformInt(0, 30); t > 0; --t) {
+      allowed.push_back({rng.UniformInt(0, 4), rng.UniformInt(0, 4)});
+    }
+    random.AddConstraint({0, 1}, allowed);
+    const Constraint& c = random.constraint(0);
+    for (int x = 0; x < 5; ++x) {
+      for (int y = 0; y < 5; ++y) {
+        const Tuple t = {x, y};
+        const bool listed =
+            std::find(c.allowed.begin(), c.allowed.end(), t) != c.allowed.end();
+        EXPECT_EQ(c.allowed_set.count(t), listed ? 1u : 0u) << trial;
+      }
+    }
+    EXPECT_EQ(c.allowed_set.size(), c.allowed.size()) << trial;
+  }
+}
+
+TEST(CspInstance, MembershipRowsCompareAsSets) {
+  CspInstance a(2, 3);
+  a.AddConstraint({0, 1}, {{2, 0}, {0, 1}, {2, 0}});
+  CspInstance b(2, 3);
+  b.AddConstraint({0, 1}, {{0, 1}, {2, 0}});
+  CspInstance c(2, 3);
+  c.AddConstraint({0, 1}, {{0, 1}, {2, 1}});
+  EXPECT_TRUE(a.constraint(0).allowed_set == b.constraint(0).allowed_set);
+  EXPECT_FALSE(a.constraint(0).allowed_set == c.constraint(0).allowed_set);
+  EXPECT_TRUE(SortedRows() == SortedRows());
+}
+
+// The validator's list/set agreement check still bites on the flat rows.
+TEST(CspInstance, ValidatorFlagsAListTheMembershipRowsDisagreeWith) {
+  CspInstance extra = Triangle3Color();
+  const_cast<Constraint&>(extra.constraint(1)).allowed.push_back({1, 1});
+  Diagnostics diagnostics = ValidateCspInstance(extra);
+  EXPECT_TRUE(HasErrors(diagnostics));
+  bool missing = false;
+  bool sizes = false;
+  for (const Diagnostic& d : diagnostics) {
+    missing = missing ||
+              d.message.find("missing from the membership set") !=
+                  std::string::npos;
+    sizes = sizes || d.message.find("membership set has 6 tuples") !=
+                         std::string::npos;
+  }
+  EXPECT_TRUE(missing);
+  EXPECT_TRUE(sizes);
+
+  CspInstance fewer = Triangle3Color();
+  std::vector<Tuple> rows = {{0, 1}, {1, 0}};
+  const_cast<Constraint&>(fewer.constraint(2)).allowed_set =
+      SortedRows(2, &rows);
+  EXPECT_TRUE(HasErrors(ValidateCspInstance(fewer)));
 }
 
 TEST(CspInstance, ConstraintsOnTracksMembership) {
