@@ -4,24 +4,17 @@
 Default mode pairs BM_<op>_baseline/<size> with BM_<op>_optimized/<size>
 and emits one record per (op, size) with ns/op for both sides, the
 speedup, and the peak-rows counter where the benchmark reports one. The
-SIMD kernel pairs in bench_parallel use this naming too, so the kernels
-distill takes bench_report's AND bench_parallel's raw JSON together.
-
---mode parallel instead groups BM_<op>_t<threads>/<size> (bench_parallel):
-t1 is the true serial kernel, every other thread count gets a speedup
-relative to it; an op without a t1 is skipped with a warning.
-machine.num_cpus is recorded, and any thread entry with threads >
-num_cpus is stamped oversubscribed=true so readers can tell real scaling
-from oversubscription on a small machine.
+SIMD kernel pairs in bench_simd use this naming too, so the kernels
+distill takes bench_report's AND bench_simd's raw JSON together.
 
 --mode service takes plain BM_<op>/<size> names (bench_service) and emits
 ns/op plus any serving-layer counters the benchmark reported: rates
 (hit_rate, shed_rate, rejected_rate, requests), exact per-request
 latency quantiles (p50_ns, p99_ns, p999_ns — computed by the benchmark
 from sorted latency vectors, not from histogram buckets), throughput
-(achieved_qps), and the clustered local/remote serving split. Rows that
-report a worker_threads counter get the same oversubscribed=true stamp as
---mode parallel when worker_threads > machine.num_cpus, so overload and
+(achieved_qps), and the clustered local/remote serving split.
+machine.num_cpus is recorded, and rows that report a worker_threads
+counter above it are stamped oversubscribed=true, so overload and
 saturation numbers from a small machine are not read as real capacity.
 (The counter is worker_threads, not threads: the library's own threads
 field would shadow a counter of that name.)
@@ -29,7 +22,7 @@ net_* ops (the two-node loopback saturation sweep) are split into a
 separate "saturation" section of the trajectory entry.
 
 Usage: distill_bench.py <benchmark-json>... <output-json> [--label LABEL]
-                        [--mode kernels|parallel|service]
+                        [--mode kernels|service]
 
 Multiple input files are merged benchmark-by-benchmark (first file's
 machine context wins) before distilling. The machine block's build_type,
@@ -65,7 +58,6 @@ def git_head() -> str:
         return "unknown"
 
 NAME_RE = re.compile(r"^BM_(?P<op>\w+?)_(?P<side>baseline|optimized)/(?P<size>\d+)$")
-PARALLEL_RE = re.compile(r"^BM_(?P<op>\w+?)_t(?P<threads>\d+)/(?P<size>\d+)$")
 # Pinned-iteration benchmarks (BM_net_saturation) get an "/iterations:N"
 # name suffix from the library; tolerate it.
 SERVICE_RE = re.compile(
@@ -128,55 +120,12 @@ def distill_kernels(report):
     return kernels
 
 
-def distill_parallel(report, num_cpus=None):
-    """(op, size) -> per-thread-count records for bench_parallel."""
-    cells = {}
-    for bench in report.get("benchmarks", []):
-        if bench.get("run_type") == "aggregate":
-            continue
-        m = PARALLEL_RE.match(bench["name"])
-        if not m:
-            continue
-        key = (m.group("op"), int(m.group("size")))
-        keep_min(cells.setdefault(key, {}), int(m.group("threads")), bench)
-
-    kernels = []
-    for (op, size), by_threads in sorted(cells.items()):
-        if 1 not in by_threads:
-            sys.stderr.write(f"warning: no t1 baseline for {op}/{size}\n")
-            continue
-        serial_ns = by_threads[1]["real_time"]
-        record = {
-            "op": op,
-            "size": size,
-            "serial_ns_per_op": round(serial_ns, 1),
-            "threads": [],
-        }
-        for threads in sorted(by_threads):
-            if threads == 1:
-                continue
-            ns = by_threads[threads]["real_time"]
-            entry = {
-                "threads": threads,
-                "ns_per_op": round(ns, 1),
-                "speedup_vs_serial": round(serial_ns / ns, 2)
-                if ns > 0
-                else None,
-            }
-            if num_cpus is not None and threads > num_cpus:
-                entry["oversubscribed"] = True
-            record["threads"].append(entry)
-        kernels.append(record)
-    return kernels
-
-
 def distill_service(report, num_cpus=None):
     """BM_<op>/<size> -> (kernels, saturation) records for bench_service.
 
     net_* ops — the networked saturation sweep — land in the second list;
-    everything else in the first. Rows reporting a threads counter above
-    num_cpus are stamped oversubscribed=true (same convention as
-    --mode parallel).
+    everything else in the first. Rows reporting a worker_threads counter
+    above num_cpus are stamped oversubscribed=true.
     """
     kernels = []
     saturation = []
@@ -219,7 +168,7 @@ def main() -> int:
     )
     parser.add_argument("--label", default="trajectory entry")
     parser.add_argument(
-        "--mode", choices=["kernels", "parallel", "service"], default="kernels"
+        "--mode", choices=["kernels", "service"], default="kernels"
     )
     opts = parser.parse_args()
     if len(opts.paths) < 2:
@@ -242,14 +191,7 @@ def main() -> int:
             report["context"] = part.get("context", {})
         report["benchmarks"].extend(part.get("benchmarks", []))
 
-    if opts.mode == "parallel":
-        kernels = distill_parallel(
-            report, num_cpus=report.get("context", {}).get("num_cpus")
-        )
-        if not kernels:
-            sys.stderr.write("error: no BM_<op>_t<threads>/<size> benchmarks\n")
-            return 1
-    elif opts.mode == "service":
+    if opts.mode == "service":
         kernels, saturation = distill_service(
             report, num_cpus=report.get("context", {}).get("num_cpus")
         )
@@ -303,15 +245,6 @@ def main() -> int:
             print(
                 f"{k['op']:>20}/{k['size']:<6} "
                 f"{k['ns_per_op']:>14.1f} ns  {rates}"
-            )
-        elif opts.mode == "parallel":
-            scaling = "  ".join(
-                f"t{t['threads']} {t['speedup_vs_serial']}x"
-                for t in k["threads"]
-            )
-            print(
-                f"{k['op']:>16}/{k['size']:<6} "
-                f"serial {k['serial_ns_per_op']:>12.1f} ns  {scaling}"
             )
         else:
             print(

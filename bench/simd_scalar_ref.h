@@ -1,5 +1,5 @@
 // Frozen scalar word-loop references for the SIMD-vs-scalar benchmarks in
-// bench_parallel.cc. These are hand-written copies of the pre-SIMD bitset
+// bench_simd.cc. These are hand-written copies of the pre-SIMD bitset
 // kernels, deliberately NOT routed through util/simd.h: that header's
 // scalar namespace is inline and would be compiled under the library's
 // SIMD flags (and comdat-merged across TUs), which is exactly the

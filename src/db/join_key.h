@@ -1,12 +1,8 @@
-// Shared join-key machinery for the serial (db/algebra.cc) and parallel
-// (db/parallel_algebra.cc) relational kernels and the body join
-// (db/body_join.cc): shared-attribute position maps, key hashing/equality
-// over flat rows, and the bucket-chained KeyIndex used as the build side
-// of hash joins and semijoins and as the body join's probe index.
-//
-// Kept in one header so the parallel kernels probe *exactly* the same
-// index the serial kernels do — the bit-identical-output contract of the
-// execution layer (DESIGN.md) depends on matching chain order.
+// Shared join-key machinery for the relational kernels (db/algebra.cc)
+// and the body join (db/body_join.cc): shared-attribute position maps,
+// key hashing/equality over flat rows, and the bucket-chained KeyIndex
+// used as the build side of hash joins and semijoins and as the body
+// join's probe index.
 
 #ifndef CSPDB_DB_JOIN_KEY_H_
 #define CSPDB_DB_JOIN_KEY_H_

@@ -101,8 +101,7 @@ class DbRelation {
   /// membership probe; the lazy index is rebuilt on the next query.
   void AppendRowUnchecked(const int* row);
 
-  /// Bulk AppendRowUnchecked: `num_rows` rows packed row-major in `rows`
-  /// (the parallel join concatenates per-stripe outputs this way).
+  /// Bulk AppendRowUnchecked: `num_rows` rows packed row-major in `rows`.
   void AppendRowsUnchecked(const int* rows, std::size_t num_rows);
 
   /// Forces the lazy row-hash index to be built now. HasRow is const but

@@ -295,6 +295,13 @@ void NetServer::CompleteRequest(uint64_t conn_id, uint64_t wire_id,
   frame.type = FrameType::kResponse;
   frame.request_id = wire_id;
   EncodeResponsePayload(response, &frame.payload);
+  if (frame.payload.size() > kMaxPayloadBytes) {
+    // An answer too large to frame fails its connection, not the node.
+    FailConn(conn, wire_id,
+             "response of " + std::to_string(frame.payload.size()) +
+                 " bytes exceeds the frame payload limit");
+    return;
+  }
   SendFrame(conn, frame);
   if (conns_.find(conn_id) == conns_.end()) return;  // send failed hard
   if (conn->paused &&

@@ -124,9 +124,9 @@ class CspdbService {
   CspdbService(const CspdbService&) = delete;
   CspdbService& operator=(const CspdbService&) = delete;
 
-  /// Synchronous path: handles the request on the calling thread (the
-  /// engines may still fan out onto the pool internally). `timeout_ns`
-  /// is relative; <= 0 uses options.default_timeout_ns.
+  /// Synchronous path: handles the request, engines included, on the
+  /// calling thread. `timeout_ns` is relative; <= 0 uses
+  /// options.default_timeout_ns.
   Response Handle(const ServiceRequest& request, int64_t timeout_ns = -1);
 
   /// Asynchronous path through the admission queue and thread pool: the

@@ -18,10 +18,10 @@
 // the wrappers are zero-cost veneers over the std primitives, so the
 // contract is checked where Clang is available and free everywhere else.
 //
-// Lock-order hierarchy (DESIGN.md "Static analysis tiers" has the full
-// rationale): pool deque -> pool idle latch | group -> single-flight
-// table -> flight -> cache shard. Shard and per-node mutexes are leaf
-// locks: nothing may be acquired while holding one. Clang's
+// Lock-order hierarchy (DESIGN.md "Lock-order hierarchy" has the full
+// rationale): the one nesting is single-flight table -> flight. Every
+// other mutex (the thread pool's queue, cache shards, registries) is a
+// leaf lock: nothing may be acquired while holding one. Clang's
 // ACQUIRED_AFTER/ACQUIRED_BEFORE attributes can only name mutexes
 // reachable from the annotated declaration (same object or globals), so
 // the one cross-object nesting in the tree (SingleFlight::mu_ before
@@ -229,17 +229,6 @@ class CondVar {
     std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
     cv_.wait(lock);
     lock.release();  // the caller still owns the mutex
-  }
-
-  /// Blocks until notified or `timeout` elapses. Returns false on
-  /// timeout. `mu` must be held.
-  template <class Rep, class Period>
-  bool WaitFor(Mutex& mu, const std::chrono::duration<Rep, Period>& timeout)
-      CSPDB_REQUIRES(mu) {
-    std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
-    const std::cv_status status = cv_.wait_for(lock, timeout);
-    lock.release();
-    return status == std::cv_status::no_timeout;
   }
 
   /// Blocks until notified or the absolute `deadline` passes. Returns

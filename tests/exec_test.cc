@@ -1,9 +1,15 @@
-// The execution substrate: work-stealing thread pool, fork/join task
-// groups, data-parallel loops, and cooperative cancellation tokens.
+// The execution substrate: the FIFO thread pool and cooperative
+// cancellation tokens.
+//
+// Every latch or result a task touches is declared before the pool, so
+// the pool's destructor joins the workers before those objects die.
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <future>
+#include <latch>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -11,94 +17,73 @@
 
 #include "exec/cancellation.h"
 #include "exec/thread_pool.h"
+#include "occupy_worker.h"
 
 namespace cspdb::exec {
 namespace {
 
 TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(4);
   std::atomic<int> done{0};
-  TaskGroup group(&pool);
+  std::latch finished(100);
+  ThreadPool pool(4);
   for (int i = 0; i < 100; ++i) {
-    group.Run([&done] { done.fetch_add(1, std::memory_order_relaxed); });
+    pool.Submit([&done, &finished] {
+      done.fetch_add(1, std::memory_order_relaxed);
+      finished.count_down();
+    });
   }
-  group.Wait();
+  finished.wait();
   EXPECT_EQ(done.load(), 100);
 }
 
-TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelFor(0, 1000, 7, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      hits[static_cast<std::size_t>(i)].fetch_add(1,
-                                                  std::memory_order_relaxed);
-    }
-  });
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPool, ParallelForHandlesEmptyAndTinyRanges) {
-  ThreadPool pool(2);
-  int calls = 0;
-  pool.ParallelFor(5, 5, 1, [&](int64_t, int64_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  std::atomic<int64_t> sum{0};
-  pool.ParallelFor(3, 4, 10, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) sum.fetch_add(i);
-  });
-  EXPECT_EQ(sum.load(), 3);
-}
-
-TEST(ThreadPool, SingleThreadPoolDegeneratesToSerial) {
-  ThreadPool pool(1);
+TEST(ThreadPool, TasksStartInSubmissionOrder) {
   std::vector<int> order;
-  // Caller participates, so with one worker the chunks run in order on
-  // the calling thread (no data race on `order`).
-  pool.ParallelFor(0, 10, 3, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) order.push_back(static_cast<int>(i));
-  });
-  ASSERT_EQ(order.size(), 10u);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(ThreadPool, NestedParallelForInsideTasksDoesNotDeadlock) {
-  ThreadPool pool(3);
-  std::atomic<int64_t> total{0};
-  TaskGroup group(&pool);
-  for (int t = 0; t < 8; ++t) {
-    group.Run([&] {
-      pool.ParallelFor(0, 50, 5, [&](int64_t lo, int64_t hi) {
-        total.fetch_add(hi - lo, std::memory_order_relaxed);
-      });
+  std::latch finished(8);
+  std::promise<void> release;
+  ThreadPool pool(1);
+  // With the only worker parked, all eight tasks queue before any runs;
+  // the worker then runs them one at a time, so `order` needs no lock.
+  OccupyWorker(&pool, release.get_future().share());
+  for (int i = 0; i < 8; ++i) {
+    pool.Submit([&order, &finished, i] {
+      order.push_back(i);
+      finished.count_down();
     });
   }
-  group.Wait();
-  EXPECT_EQ(total.load(), 8 * 50);
+  EXPECT_EQ(pool.queued(), 8);
+  release.set_value();
+  finished.wait();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
-TEST(ThreadPool, TaskGroupTasksMaySpawnIntoSameGroup) {
-  ThreadPool pool(4);
-  std::atomic<int> done{0};
-  TaskGroup group(&pool);
-  for (int i = 0; i < 10; ++i) {
-    group.Run([&] {
-      done.fetch_add(1, std::memory_order_relaxed);
-      group.Run([&] { done.fetch_add(1, std::memory_order_relaxed); });
+TEST(ThreadPool, DestructorRunsEveryQueuedTask) {
+  std::atomic<int> ran{0};
+  std::promise<void> release;
+  std::thread opener;
+  {
+    ThreadPool pool(1);
+    OccupyWorker(&pool, release.get_future().share());
+    for (int i = 0; i < 8; ++i) {
+      pool.Submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+    }
+    // Open the gate from outside once the destructor is (almost surely)
+    // already waiting, so the stop request finds all eight tasks queued.
+    opener = std::thread([&release] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      release.set_value();
     });
   }
-  group.Wait();
-  EXPECT_EQ(done.load(), 20);
+  opener.join();
+  EXPECT_EQ(ran.load(), 8);
 }
 
 TEST(ThreadPool, GlobalPoolExistsAndWorks) {
-  std::atomic<int> done{0};
-  ThreadPool::Global().ParallelFor(0, 16, 1, [&](int64_t lo, int64_t hi) {
-    done.fetch_add(static_cast<int>(hi - lo), std::memory_order_relaxed);
-  });
-  EXPECT_EQ(done.load(), 16);
+  // The global pool outlives this test, so the task co-owns its latch.
+  auto finished = std::make_shared<std::latch>(16);
+  for (int i = 0; i < 16; ++i) {
+    ThreadPool::Global().Submit([finished] { finished->count_down(); });
+  }
+  finished->wait();
   EXPECT_GE(ThreadPool::Global().num_threads(), 1);
 }
 
@@ -121,14 +106,19 @@ TEST(Cancellation, DeadlineFires) {
 }
 
 TEST(Cancellation, TokenStopsPoolWorkCooperatively) {
-  ThreadPool pool(4);
   CancellationToken token;
   std::atomic<int64_t> done{0};
+  std::latch finished(100);
+  ThreadPool pool(4);
   token.RequestCancel();
-  pool.ParallelFor(0, 1000, 10, [&](int64_t lo, int64_t hi) {
-    if (token.cancelled()) return;  // kernels poll at chunk granularity
-    done.fetch_add(hi - lo, std::memory_order_relaxed);
-  });
+  for (int i = 0; i < 100; ++i) {
+    pool.Submit([&token, &done, &finished] {
+      // Tasks poll the token at their safe points.
+      if (!token.cancelled()) done.fetch_add(1, std::memory_order_relaxed);
+      finished.count_down();
+    });
+  }
+  finished.wait();
   EXPECT_EQ(done.load(), 0);
 }
 

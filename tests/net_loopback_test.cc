@@ -18,12 +18,15 @@
 
 #include <gtest/gtest.h>
 
+#include "db/conjunctive_query.h"
 #include "exec/thread_pool.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "net/shard.h"
 #include "net/wire.h"
 #include "occupy_worker.h"
+#include "relational/structure.h"
+#include "relational/vocabulary.h"
 #include "service/server.h"
 #include "service/workload.h"
 
@@ -474,6 +477,63 @@ TEST(NetLoopback, ShutdownAnswersEveryRequestAlreadySent) {
     }
     EXPECT_EQ(server.stats().requests_dispatched, kConnections);
   }
+}
+
+// Q(x0,...,x5) :- E(x0,x1), E(x2,x3), E(x4,x5) over the complete
+// digraph on n elements: (n(n-1))^3 answer rows of six columns. At n = 10
+// that is 729,000 rows, a 17,496,036-byte response payload, past
+// kMaxPayloadBytes. Its own suite, so the stress job does not repeat it.
+ServiceRequest CrossProductOfEdges(int n) {
+  Vocabulary binary;
+  binary.AddSymbol("E", 2);
+  Structure graph(binary, n);
+  for (int u = 0; u < n; ++u) {
+    for (int v = 0; v < n; ++v) {
+      if (u != v) graph.AddTuple(0, {u, v});
+    }
+  }
+  const ConjunctiveQuery query(6, {0, 1, 2, 3, 4, 5},
+                               {{"E", {0, 1}}, {"E", {2, 3}}, {"E", {4, 5}}});
+  return service::EvalCqRequest{query, graph};
+}
+
+TEST(NetOversize, AnswerTooLargeToFrameFailsItsConnectionNotTheNode) {
+  exec::ThreadPool pool(2);
+  ServiceOptions service_options;
+  service_options.pool = &pool;
+  CspdbService service(service_options);
+  NetServer server(&service);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  std::unique_ptr<Connection> conn =
+      Connection::Dial(server.address(), 2000, &error);
+  ASSERT_NE(conn, nullptr) << error;
+  Frame frame;
+  frame.type = FrameType::kRequest;
+  frame.request_id = 5;
+  EncodeRequestPayload(CrossProductOfEdges(10), &frame.payload);
+  std::vector<uint8_t> bytes;
+  AppendFrame(frame, &bytes);
+  ASSERT_TRUE(conn->SendBytes(bytes.data(), bytes.size(), &error)) << error;
+  std::optional<Frame> reply = conn->ReadFrame(60000, &error);
+  ASSERT_TRUE(reply.has_value()) << error;
+  EXPECT_EQ(reply->type, FrameType::kError);
+  EXPECT_EQ(reply->request_id, 5u);
+  // The server closes the connection after the error frame.
+  EXPECT_FALSE(conn->ReadFrame(2000, &error).has_value());
+
+  // The node is still serving: a new connection gets a correct answer.
+  std::unique_ptr<Connection> next =
+      Connection::Dial(server.address(), 2000, &error);
+  ASSERT_NE(next, nullptr) << error;
+  const ServiceRequest request = ZipfStream(1).front();
+  std::optional<Response> response = next->Call(request, 1, 0, 10000, &error);
+  ASSERT_TRUE(response.has_value()) << error;
+  ASSERT_EQ(response->status, StatusCode::kOk);
+  CspdbService reference;
+  EXPECT_EQ(AnswerBytes(*response), AnswerBytes(reference.Handle(request)));
+  server.Shutdown();
 }
 
 }  // namespace

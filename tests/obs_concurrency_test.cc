@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <latch>
 #include <set>
 #include <sstream>
 #include <string>
@@ -178,10 +179,15 @@ TEST(ObsConcurrency, PoolWorkersRegisterStableTraceNames) {
   const std::string path = ::testing::TempDir() + "/obs_worker_names.trace";
   TraceSession& session = TraceSession::Global();
   session.Start(path);
+  std::latch finished(64);
   exec::ThreadPool pool(3);
-  pool.ParallelFor(0, 64, 1, [&session](int64_t, int64_t) {
-    session.Instant("obs_worker.tick");
-  });
+  for (int i = 0; i < 64; ++i) {
+    pool.Submit([&session, &finished] {
+      session.Instant("obs_worker.tick");
+      finished.count_down();
+    });
+  }
+  finished.wait();
   session.Stop();
   const std::string trace = ReadFileOrDie(path);
   EXPECT_NE(trace.find("exec.worker."), std::string::npos);

@@ -11,8 +11,8 @@
 namespace cspdb {
 
 // Parks a blocking task on `pool`'s worker and returns once the worker
-// has actually picked it up (the pool pops LIFO, so without the ack a
-// later submission could run first).
+// has actually picked it up, so everything submitted afterwards stays
+// queued (and counted by queued()) until the gate opens.
 inline void OccupyWorker(exec::ThreadPool* pool,
                          std::shared_future<void> gate) {
   std::promise<void> started;

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "db/algebra.h"
-#include "db/parallel_algebra.h"
 #include "db/relation.h"
 
 namespace cspdb {
@@ -48,18 +47,6 @@ TEST(RelationEdge, JoinAndSemijoinWithEmptySides) {
   DbRelation joined = NaturalJoin(empty, full);
   ASSERT_EQ(joined.arity(), 3);
   EXPECT_EQ(joined.schema(), (std::vector<int>{0, 1, 2}));
-}
-
-TEST(RelationEdge, ParallelKernelsHandleEmptySides) {
-  exec::ThreadPool pool(2);
-  ParallelDbOptions options;
-  options.pool = &pool;
-  options.min_probe_rows = 0;
-  DbRelation empty({0, 1});
-  DbRelation full({1, 2});
-  full.AddRow(Tuple{1, 2});
-  EXPECT_TRUE(NaturalJoinParallel(empty, full, options).empty());
-  EXPECT_TRUE(NaturalJoinParallel(full, empty, options).empty());
 }
 
 TEST(RelationEdge, ArityZeroRelations) {

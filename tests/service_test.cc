@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <future>
+#include <latch>
 #include <memory>
 #include <optional>
 #include <string>
@@ -362,6 +363,28 @@ TEST(ServiceTest, DeadlinePassedWhileQueuedShedsExplicitly) {
     EXPECT_EQ(service.stats().shed_deadline, 1);
     EXPECT_EQ(service.stats().engine_invocations, 0);
   }
+}
+
+TEST(ServiceTest, QueuedSubmissionsRunOldestFirst) {
+  std::vector<int> order;  // appended only by the pool's one worker
+  std::latch finished(6);
+  std::promise<void> release;
+  exec::ThreadPool pool(1);
+  ServiceOptions options;
+  options.pool = &pool;
+  CspdbService service(options);
+  OccupyWorker(&pool, release.get_future().share());
+  Rng rng(53);
+  for (int i = 0; i < 6; ++i) {
+    service.Submit(SolveRequest(RandomBinaryCsp(6, 3, 7, 0.3, &rng)),
+                   /*timeout_ns=*/-1, [&order, &finished, i](Response) {
+                     order.push_back(i);
+                     finished.count_down();
+                   });
+  }
+  release.set_value();
+  finished.wait();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
 TEST(ServiceTest, ExpiredDeadlineShedsBeforeTheEngine) {
