@@ -383,7 +383,7 @@ int RunServer(const Flags& flags) {
                 (long long)rs.local_hits, (long long)rs.remote_hits,
                 (long long)rs.remote_compute, (long long)rs.local_compute,
                 (long long)rs.peer_failures);
-    // Machine-readable routing line (net-smoke greps remote_hits).
+    // Machine-readable routing line (the CI smoke job greps remote_hits).
     std::printf("local_hits=%lld remote_hits=%lld remote_compute=%lld "
                 "local_compute=%lld peer_failures=%lld protocol_errors=%lld\n",
                 (long long)rs.local_hits, (long long)rs.remote_hits,
@@ -504,7 +504,7 @@ int RunClient(const Flags& flags) {
     std::printf("verified against local compute: %lld mismatches\n",
                 (long long)mismatches);
   }
-  // Machine-readable line (net-smoke gates mismatches=0, errors=0).
+  // Machine-readable line (the CI smoke job gates mismatches=0).
   std::printf("responses=%zu ok=%lld errors=%lld mismatches=%lld "
               "served_remotely=%lld\n",
               latencies.size(), (long long)ok, (long long)errors,
@@ -576,16 +576,10 @@ int RunLocalReplay(const Flags& flags) {
   std::printf("stats store keys:  %lld\n",
               (long long)server.stats_store().size());
 
-  // Machine-readable line for CI (service-smoke greps cache_hits).
+  // Machine-readable line for CI (the smoke job greps cache_hits).
   PrintServiceSummary(server);
 
   if (!WriteArtifacts(flags, server)) return 1;
-
-  // In observability builds the "service.*" metrics mirror these counts.
-  if (obs::MetricsRegistry::Global().HasCounter("service.requests")) {
-    std::printf("\nmetrics snapshot:\n%s\n",
-                obs::MetricsRegistry::Global().SnapshotJson().c_str());
-  }
   return 0;
 }
 

@@ -4,9 +4,8 @@
 // executed annotated with the row/prune counts it observed, followed by
 // the process-wide metrics snapshot.
 //
-// With CSPDB_TRACE=<path> set (and an instrumented build), the same run
-// also writes a Chrome-trace JSON covering all five subsystems; load it
-// at https://ui.perfetto.dev.
+// With CSPDB_TRACE=<path> set, the same run also writes a Chrome-trace
+// JSON covering all five subsystems; load it at https://ui.perfetto.dev.
 
 #include <cstdio>
 

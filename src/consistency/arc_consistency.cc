@@ -1,5 +1,6 @@
 #include "consistency/arc_consistency.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <deque>
 #include <utility>
@@ -44,7 +45,6 @@ class GacEngine {
     s->domains[var].Reset(val);
     --s->domain_size[var];
     ++*prunings;
-    CSPDB_COUNT("gac.prunings");
     const std::vector<int>& cons = csp_.ConstraintsOn(var);
     for (std::size_t k = 0; k < cons.size(); ++k) {
       const int ci = cons[k];
@@ -71,7 +71,6 @@ class GacEngine {
       for (std::size_t g = 0; g < masks.group_var.size(); ++g) {
         const int var = masks.group_var[g];
         ++*revisions;
-        CSPDB_COUNT("gac.revisions");
         // SIMD sweep over the group's support rows against a snapshot of
         // the valid-tuple mask. Pruning a collected value can strip the
         // last support of a later value in the same group; that value is
@@ -92,8 +91,8 @@ class GacEngine {
             if (other != ci && !queued_[other]) {
               queue_.push_back(other);
               queued_[other] = 1;
-              CSPDB_GAUGE_MAX("gac.queue_peak",
-                              static_cast<int64_t>(queue_.size()));
+              queue_peak_ =
+                  std::max(queue_peak_, static_cast<int64_t>(queue_.size()));
             }
           }
         }
@@ -107,15 +106,31 @@ class GacEngine {
     return true;
   }
 
+  /// Longest worklist after a push, over every run on this engine.
+  int64_t queue_peak() const { return queue_peak_; }
+
  private:
   const CspInstance& csp_;
   SupportMasks masks_;
   // Worklist scratch, reused across runs.
   std::deque<int> queue_;
   std::vector<char> queued_;
+  int64_t queue_peak_ = 0;
   // Values collected by the revision sweep, reused across revisions.
   std::vector<int> prune_buf_;
 };
+
+// Adds one finished run to the process-wide "gac.*" metrics: one update
+// per metric per run, so the worklist loops touch only their own
+// counters. `probe_prunings` are SAC's prunings inside probes, which
+// result.prunings leaves out and "gac.prunings" counts.
+void RecordRun(const AcResult& result, int64_t probe_prunings,
+               int64_t queue_peak) {
+  CSPDB_COUNT_N("gac.revisions", result.revisions);
+  CSPDB_COUNT_N("gac.prunings", result.prunings + probe_prunings);
+  CSPDB_GAUGE_MAX("gac.queue_peak", queue_peak);
+  if (!result.consistent) CSPDB_COUNT("gac.wipeouts");
+}
 
 }  // namespace
 
@@ -135,9 +150,9 @@ AcResult EnforceGac(const CspInstance& csp) {
       engine.RunToFixpoint(&state, &result.revisions, &result.prunings);
   if (!result.consistent) {
     result.wipeouts = 1;
-    CSPDB_COUNT("gac.wipeouts");
     CSPDB_TRACE_INSTANT("gac.wipeout");
   }
+  RecordRun(result, /*probe_prunings=*/0, engine.queue_peak());
   result.domains = std::move(state.domains);
   return result;
 }
@@ -156,18 +171,15 @@ AcResult EnforceSingletonArcConsistency(const CspInstance& csp) {
   engine.InitFullState(&outer);
   result.consistent =
       engine.RunToFixpoint(&outer, &result.revisions, &result.prunings);
-  if (!result.consistent) {
-    result.wipeouts = 1;
-    CSPDB_COUNT("gac.wipeouts");
-    result.domains = std::move(outer.domains);
-    return result;
-  }
+  if (!result.consistent) result.wipeouts = 1;
 
   // Probe x_v = d on top of the shared masks: copy the packed state,
   // apply the restriction, and rerun the worklist. No instances are
   // rebuilt and no support masks recomputed per probe.
   GacEngine::State probe;
-  bool changed = true;
+  int64_t probes = 0;
+  int64_t probe_prunings = 0;
+  bool changed = result.consistent;
   while (changed) {
     changed = false;
     for (int v = 0; v < csp.num_variables() && result.consistent; ++v) {
@@ -175,34 +187,36 @@ AcResult EnforceSingletonArcConsistency(const CspInstance& csp) {
         if (!outer.domains[v].Test(d)) continue;
         probe = outer;
         bool probe_consistent = true;
-        int64_t scratch = 0;
-        CSPDB_COUNT("sac.probes");
+        ++probes;
         for (int other = outer.domains[v].FindFirst(); other >= 0;
              other = outer.domains[v].NextSetBit(other + 1)) {
           if (other == d) continue;
-          if (!engine.Prune(&probe, v, other, &scratch)) {
+          if (!engine.Prune(&probe, v, other, &probe_prunings)) {
             probe_consistent = false;
             break;
           }
         }
         if (probe_consistent) {
           probe_consistent =
-              engine.RunToFixpoint(&probe, &result.revisions, &scratch);
+              engine.RunToFixpoint(&probe, &result.revisions, &probe_prunings);
         }
         if (!probe_consistent) {
           changed = true;
           ++result.wipeouts;
-          CSPDB_COUNT("sac.probe_wipeouts");
           if (!engine.Prune(&outer, v, d, &result.prunings)) {
             result.consistent = false;
             ++result.wipeouts;
-            CSPDB_COUNT("gac.wipeouts");
             break;
           }
         }
       }
     }
   }
+  RecordRun(result, probe_prunings, engine.queue_peak());
+  CSPDB_COUNT_N("sac.probes", probes);
+  // Every wipeout refuted a probe, except an inconsistent run's last one.
+  CSPDB_COUNT_N("sac.probe_wipeouts",
+                result.wipeouts - (result.consistent ? 0 : 1));
   result.domains = std::move(outer.domains);
   return result;
 }

@@ -29,6 +29,15 @@ BackjumpSolver::BackjumpSolver(const CspInstance& csp,
 std::optional<std::vector<int>> BackjumpSolver::Solve() {
   CSPDB_TIMER_SCOPE("csp.backjump_solve");
   stats_ = BackjumpStats{};
+  std::optional<std::vector<int>> solution = Search();
+  // One update per metric per run, so the search loop touches only stats_.
+  CSPDB_COUNT_N("csp.backjump_nodes", stats_.nodes);
+  CSPDB_COUNT_N("csp.backjump_backtracks", stats_.backtracks);
+  CSPDB_COUNT_N("csp.backjumps", stats_.backjumps);
+  return solution;
+}
+
+std::optional<std::vector<int>> BackjumpSolver::Search() {
   int n = csp_.num_variables();
   int d = csp_.num_values();
   if (n == 0) return std::vector<int>{};
@@ -86,7 +95,6 @@ std::optional<std::vector<int>> BackjumpSolver::Solve() {
         return std::nullopt;
       }
       ++stats_.nodes;
-      CSPDB_COUNT("csp.backjump_nodes");
       assignment[var] = v;
       if (consistent(level)) {
         next_value[level] = v + 1;
@@ -105,7 +113,6 @@ std::optional<std::vector<int>> BackjumpSolver::Solve() {
     // Dead end: jump to the deepest conflicting level.
     assignment[var] = kUnassigned;
     ++stats_.backtracks;
-    CSPDB_COUNT("csp.backjump_backtracks");
     int jump = -1;
     for (int l = level - 1; l >= 0; --l) {
       if (conflict[level][l]) {
@@ -114,10 +121,7 @@ std::optional<std::vector<int>> BackjumpSolver::Solve() {
       }
     }
     if (jump < 0) return std::nullopt;
-    if (jump < level - 1) {
-      ++stats_.backjumps;
-      CSPDB_COUNT("csp.backjumps");
-    }
+    if (jump < level - 1) ++stats_.backjumps;
     // Merge this conflict set (minus the jump target) into the target's.
     for (int l = 0; l < jump; ++l) {
       if (conflict[level][l]) conflict[jump][l] = 1;

@@ -47,6 +47,8 @@ class BackjumpSolver {
   const BackjumpStats& stats() const { return stats_; }
 
  private:
+  std::optional<std::vector<int>> Search();  // Solve minus the metrics
+
   const CspInstance& csp_;
   BackjumpOptions options_;
   BackjumpStats stats_;

@@ -9,6 +9,19 @@
 #include "util/check.h"
 
 namespace cspdb {
+namespace {
+
+// Adds one finished run to the process-wide "csp.*" metrics: one update
+// per metric per run, so the search loops touch only `stats`.
+void RecordRun(const SolverStats& stats) {
+  CSPDB_COUNT_N("csp.nodes", stats.nodes);
+  CSPDB_COUNT_N("csp.backtracks", stats.backtracks);
+  CSPDB_COUNT_N("csp.prunings", stats.prunings);
+  CSPDB_COUNT_N("csp.revisions", stats.revisions);
+  CSPDB_GAUGE_MAX("csp.gac_queue_peak", stats.gac_queue_peak);
+}
+
+}  // namespace
 
 BacktrackingSolver::BacktrackingSolver(const CspInstance& csp,
                                        SolverOptions options)
@@ -41,7 +54,6 @@ bool BacktrackingSolver::Prune(int var, int val) {
   active_[var].Reset(val);
   --domain_size_[var];
   ++stats_.prunings;
-  CSPDB_COUNT("csp.prunings");
   trail_.push_back({var, val});
   // Kill the tuples that assigned val to var, a word at a time, saving
   // each changed word on the trail for backtracking.
@@ -146,7 +158,6 @@ bool BacktrackingSolver::ForwardCheck(int var) {
 bool BacktrackingSolver::Revise(int ci, int group) {
   ++stats_.revisions;
   ++revision_counts_[ci];
-  CSPDB_COUNT("csp.revisions");
   const ConstraintSupport& masks = masks_->constraints[ci];
   const int var = masks.group_var[group];
   const int num_values = csp_.num_values();
@@ -194,8 +205,9 @@ bool BacktrackingSolver::PropagateGac(
           if (other != ci && !gac_queued_[other]) {
             gac_queue_.push_back(other);
             gac_queued_[other] = 1;
-            CSPDB_GAUGE_MAX("csp.gac_queue_peak",
-                            static_cast<int64_t>(gac_queue_.size()));
+            stats_.gac_queue_peak =
+                std::max(stats_.gac_queue_peak,
+                         static_cast<int64_t>(gac_queue_.size()));
           }
         }
       }
@@ -264,7 +276,6 @@ bool BacktrackingSolver::Recurse(Callback&& on_solution, bool* stopped) {
       return true;
     }
     ++stats_.nodes;
-    CSPDB_COUNT("csp.nodes");
     std::size_t value_mark = trail_.size();
     std::size_t word_mark = word_trail_.size();
     if (AssignAndPropagate(var, val)) {
@@ -273,7 +284,6 @@ bool BacktrackingSolver::Recurse(Callback&& on_solution, bool* stopped) {
     assignment_[var] = kUnassigned;
     UndoTo(value_mark, word_mark);
     ++stats_.backtracks;
-    CSPDB_COUNT("csp.backtracks");
   }
   return false;
 }
@@ -309,6 +319,7 @@ std::optional<std::vector<int>> BacktrackingSolver::Solve() {
     result = a;
     return false;  // stop at first solution
   });
+  RecordRun(stats_);
   if (stats_.aborted) return std::nullopt;
   if (result.has_value()) {
     CSPDB_AUDIT(AuditOrDie("BacktrackingSolver solution",
@@ -324,6 +335,7 @@ int64_t BacktrackingSolver::CountSolutions(int64_t limit) {
     ++count;
     return count < limit;
   });
+  RecordRun(stats_);
   return count;
 }
 

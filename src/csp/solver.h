@@ -44,15 +44,17 @@ struct SolverOptions {
   const exec::CancellationToken* cancel = nullptr;
 };
 
-/// Counters reported by the search. Per-run view of the process-wide
-/// "csp.*" metrics in obs/metrics.h (the registry accumulates across
-/// runs; this struct resets per Solve/CountSolutions call).
+/// Counters reported by the search. This struct resets per
+/// Solve/CountSolutions call; when the call returns, its totals are added
+/// once to the process-wide "csp.*" metrics in obs/metrics.h, which
+/// accumulate across runs.
 struct SolverStats {
   int64_t nodes = 0;
   int64_t backtracks = 0;
   int64_t prunings = 0;
-  int64_t revisions = 0;  ///< GAC (constraint, group) revision calls
-  bool aborted = false;   ///< node limit hit before the search finished
+  int64_t revisions = 0;       ///< GAC (constraint, group) revision calls
+  int64_t gac_queue_peak = 0;  ///< longest MAC worklist after a push
+  bool aborted = false;        ///< node limit hit before the search finished
 };
 
 /// A complete backtracking solver over a CspInstance. The instance must

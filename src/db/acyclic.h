@@ -39,7 +39,7 @@ bool IsAlphaAcyclic(const Hypergraph& h);
 /// Per-run statistics for the full reducer and Yannakakis evaluation —
 /// the per-stage peak rows EXPERIMENTS.md E8 previously could only infer
 /// from timings. Mirrored into the process-wide "db.*" metrics
-/// (obs/metrics.h) in instrumented builds; rendered by obs/explain.h.
+/// (obs/metrics.h); rendered by obs/explain.h.
 struct YannakakisStats {
   int64_t semijoin_passes = 0;  ///< semijoins applied by the full reducer
   int64_t rows_removed = 0;     ///< rows dropped across all those passes

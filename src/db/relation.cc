@@ -109,18 +109,6 @@ void DbRelation::AppendRowUnchecked(const int* row) {
   index_valid_ = false;
 }
 
-void DbRelation::AppendRowsUnchecked(const int* rows, std::size_t num_rows) {
-  if (num_rows == 0) return;
-  CSPDB_CHECK_MSG(num_rows_ + num_rows < 0xfffffffeu,
-                  "relation exceeds 2^32-2 rows");
-  data_.insert(data_.end(), rows,
-               rows + num_rows * static_cast<std::size_t>(arity()));
-  num_rows_ += num_rows;
-  index_valid_ = false;
-}
-
-void DbRelation::PrepareIndex() const { EnsureIndex(); }
-
 bool DbRelation::HasRow(const Tuple& row) const {
   CSPDB_CHECK_MSG(static_cast<int>(row.size()) == arity(),
                   "row arity mismatch");

@@ -101,15 +101,6 @@ class DbRelation {
   /// membership probe; the lazy index is rebuilt on the next query.
   void AppendRowUnchecked(const int* row);
 
-  /// Bulk AppendRowUnchecked: `num_rows` rows packed row-major in `rows`.
-  void AppendRowsUnchecked(const int* rows, std::size_t num_rows);
-
-  /// Forces the lazy row-hash index to be built now. HasRow is const but
-  /// rebuilds the index on first use after a bulk append, so concurrent
-  /// readers must call this (single-threaded) first; afterwards HasRow is
-  /// safe from many threads as long as nobody mutates the relation.
-  void PrepareIndex() const;
-
   const std::vector<int>& schema() const { return schema_; }
 
   /// Iterable view of all rows: `for (auto row : rel.rows())`.
@@ -127,6 +118,8 @@ class DbRelation {
   /// The flat row-major value buffer (size() * arity() ints).
   const std::vector<int>& data() const { return data_; }
 
+  /// Membership. Const, but the first lookup after AppendRowUnchecked
+  /// rebuilds the lazy index, so concurrent lookups are not thread-safe.
   bool HasRow(const Tuple& row) const;
   bool HasRow(const int* row) const;
 

@@ -48,16 +48,6 @@ Histogram& MetricsRegistry::GetHistogram(std::string_view name) {
   return *it->second;
 }
 
-bool MetricsRegistry::HasCounter(std::string_view name) const {
-  util::ReaderLock lock(mu_);
-  return counters_.find(name) != counters_.end();
-}
-
-bool MetricsRegistry::HasHistogram(std::string_view name) const {
-  util::ReaderLock lock(mu_);
-  return histograms_.find(name) != histograms_.end();
-}
-
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   util::ReaderLock lock(mu_);
   MetricsSnapshot snap;

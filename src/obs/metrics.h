@@ -1,14 +1,11 @@
-// Process-wide metrics registry: named counters, gauges, and timers that
-// the instrumentation macros in obs/obs.h increment from the hot
-// subsystems (search nodes, GAC revisions, semijoin passes, fixpoint
+// Process-wide metrics registry: named counters, gauges, timers and
+// histograms that the instrumentation macros in obs/obs.h update from the
+// hot subsystems (search nodes, GAC revisions, semijoin passes, fixpoint
 // deltas, ...). Handles returned by the registry are stable for the
 // process lifetime, so a call site pays the name lookup once (the macros
 // cache the handle in a function-local static) and then a relaxed atomic
-// add per event — cheap enough to leave compiled into instrumented
-// builds, absent entirely from CSPDB_OBS=OFF release builds.
-//
-// The registry itself is always compiled (EXPLAIN, tests, and tools use
-// it directly); only the macro layer is gated by the build tier.
+// add per update. Every build records; the engines add their per-run
+// totals once per run rather than once per event.
 
 #ifndef CSPDB_OBS_METRICS_H_
 #define CSPDB_OBS_METRICS_H_
@@ -91,11 +88,10 @@ struct MetricsSnapshot {
   std::map<std::string, HistogramSnapshot> histograms;
 };
 
-/// The process-wide registry. Registration takes a writer lock,
-/// snapshots and existence checks a reader lock; increments on returned
-/// handles are lock-free. Names are conventionally dot-separated,
-/// subsystem first ("csp.nodes", "gac.revisions",
-/// "db.semijoin.rows_removed").
+/// The process-wide registry. Registration takes a writer lock and
+/// snapshots a reader lock; increments on returned handles are
+/// lock-free. Names are conventionally dot-separated, subsystem first
+/// ("csp.nodes", "gac.revisions", "db.semijoin.rows_removed").
 class MetricsRegistry {
  public:
   static MetricsRegistry& Global();
@@ -106,10 +102,6 @@ class MetricsRegistry {
   Gauge& GetGauge(std::string_view name);
   Timer& GetTimer(std::string_view name);
   Histogram& GetHistogram(std::string_view name);
-
-  /// True if a metric of the given kind was ever registered under `name`.
-  bool HasCounter(std::string_view name) const;
-  bool HasHistogram(std::string_view name) const;
 
   MetricsSnapshot Snapshot() const;
 

@@ -1,11 +1,11 @@
 // Instrumentation macros: the one header hot subsystems include.
 //
-// Tiering mirrors util/check.h's audit tier: CSPDB_OBS_ENABLED is 1 in
-// builds without NDEBUG (Debug) and in any build compiled with
-// -DCSPDB_ENABLE_OBS (the CMake option CSPDB_OBS=ON sets it, giving an
-// *instrumented* optimized build). Otherwise every macro expands to
-// nothing — operands are not evaluated — so CSPDB_OBS=OFF release builds
-// carry zero observability cost in the kernels.
+// Every build compiles them. A counter add is one relaxed atomic on a
+// handle cached in a function-local static, a timer or histogram scope
+// reads the clock twice, and a trace macro tests one flag unless a
+// session is active (CSPDB_TRACE=<path>). Keep them out of per-event
+// inner loops: an engine that already counts its work in a per-run stats
+// struct records those totals once per run.
 //
 // Macro summary (names must be string literals or otherwise outlive the
 // process):
@@ -37,12 +37,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-
-#if defined(CSPDB_ENABLE_OBS) || !defined(NDEBUG)
-#define CSPDB_OBS_ENABLED 1
-#else
-#define CSPDB_OBS_ENABLED 0
-#endif
 
 namespace cspdb::obs {
 
@@ -106,8 +100,6 @@ class HistoSpan {
 
 #define CSPDB_OBS_CONCAT_INNER(a, b) a##b
 #define CSPDB_OBS_CONCAT(a, b) CSPDB_OBS_CONCAT_INNER(a, b)
-
-#if CSPDB_OBS_ENABLED
 
 #define CSPDB_COUNT(name) CSPDB_COUNT_N(name, 1)
 
@@ -183,27 +175,5 @@ class HistoSpan {
       ::cspdb::obs::TraceSession::Global().FlowEnd((name), (id));      \
     }                                                                  \
   } while (false)
-
-#else  // !CSPDB_OBS_ENABLED
-
-// sizeof keeps operands type-checked and "used" without evaluating them
-// (same trick as CSPDB_DCHECK), so instrumentation-only locals don't trip
-// -Wunused in CSPDB_OBS=OFF builds.
-#define CSPDB_COUNT(name) ((void)sizeof(name))
-#define CSPDB_COUNT_N(name, n) ((void)sizeof(name), (void)sizeof((n)))
-#define CSPDB_GAUGE_SET(name, v) ((void)sizeof(name), (void)sizeof((v)))
-#define CSPDB_GAUGE_MAX(name, v) ((void)sizeof(name), (void)sizeof((v)))
-#define CSPDB_TIMER_SCOPE(name) ((void)sizeof(name))
-#define CSPDB_HISTO_NS(name, ns) ((void)sizeof(name), (void)sizeof((ns)))
-#define CSPDB_HISTO_SCOPE(name) ((void)sizeof(name))
-#define CSPDB_TRACE_SPAN(name) ((void)sizeof(name))
-#define CSPDB_TRACE_INSTANT(name) ((void)sizeof(name))
-#define CSPDB_TRACE_COUNTER(name, v) ((void)sizeof(name), (void)sizeof((v)))
-#define CSPDB_TRACE_FLOW_BEGIN(name, id) \
-  ((void)sizeof(name), (void)sizeof((id)))
-#define CSPDB_TRACE_FLOW_END(name, id) \
-  ((void)sizeof(name), (void)sizeof((id)))
-
-#endif  // CSPDB_OBS_ENABLED
 
 #endif  // CSPDB_OBS_OBS_H_

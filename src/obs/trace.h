@@ -8,8 +8,8 @@
 // CSPDB_TRACE environment variable; if set, the session opens that path
 // and enables itself. Tests and tools can instead call Start(path)
 // programmatically. When disabled, emitting is a single relaxed atomic
-// load — the instrumentation macros stay cheap even in instrumented
-// builds with no trace requested.
+// load, so the instrumentation macros stay cheap when no trace is
+// requested.
 
 #ifndef CSPDB_OBS_TRACE_H_
 #define CSPDB_OBS_TRACE_H_

@@ -82,8 +82,8 @@ struct ServiceOptions {
   obs::StatsStoreOptions stats_store;
 };
 
-/// Always-compiled service counters (a per-service view of the
-/// "service.*" obs metrics, which are absent in CSPDB_OBS=OFF builds).
+/// This service's own counters: a per-service view of the process-wide
+/// "service.*" obs metrics, which sum over every service in the process.
 struct ServiceStats {
   int64_t requests = 0;        ///< everything submitted, any outcome
   int64_t ok = 0;              ///< responses with StatusCode::kOk

@@ -1,8 +1,6 @@
 // Tests for the observability layer: metrics registry round-trips, the
-// Chrome tracer's span balance and JSON shape, macro gating, and the
-// EXPLAIN renderers. The build-tier contract (CSPDB_OBS=OFF compiles the
-// macros to no-ops) is tested via CSPDB_OBS_ENABLED, so the same file is
-// correct under every tier.
+// Chrome tracer's span balance and JSON shape, the macros, the engines'
+// once-per-run metric totals, and the EXPLAIN renderers.
 
 #include <algorithm>
 #include <fstream>
@@ -70,8 +68,6 @@ TEST(MetricsRegistry, HandlesAreStableAndSnapshotRoundTrips) {
   EXPECT_EQ(snapshot.gauges.at("obs_test.gauge"), 7);
   EXPECT_EQ(snapshot.timers.at("obs_test.timer").count, 2);
   EXPECT_EQ(snapshot.timers.at("obs_test.timer").total_ns, 1500);
-  EXPECT_TRUE(registry.HasCounter("obs_test.counter"));
-  EXPECT_FALSE(registry.HasCounter("obs_test.not_registered"));
 
   // Values survive into the JSON rendering.
   std::string json = registry.SnapshotJson();
@@ -184,7 +180,7 @@ TEST(TraceSession, EmitsValidChromeTraceJson) {
   EXPECT_TRUE(EventsOf(empty_text).empty());
 }
 
-TEST(ObsMacros, GatedByBuildTier) {
+TEST(ObsMacros, RecordInEveryBuild) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   registry.ResetAll();
 
@@ -195,18 +191,137 @@ TEST(ObsMacros, GatedByBuildTier) {
     CSPDB_TIMER_SCOPE("obs_test.macro_timer");
   }
 
-#if CSPDB_OBS_ENABLED
-  // Instrumented tier: operands evaluate and the registry records.
+  // Operands evaluate and the registry records.
   EXPECT_EQ(evaluated, 2);
   EXPECT_EQ(registry.Snapshot().counters.at("obs_test.macro_counter"), 2);
   EXPECT_EQ(registry.Snapshot().gauges.at("obs_test.macro_gauge"), 9);
   EXPECT_EQ(registry.Snapshot().timers.at("obs_test.macro_timer").count, 1);
-#else
-  // Release tier: the macros compile away — operands must NOT evaluate
-  // and nothing registers.
-  EXPECT_EQ(evaluated, 0);
-  EXPECT_FALSE(registry.HasCounter("obs_test.macro_counter"));
-#endif
+}
+
+// x0 < x1 < ... over `values` values: GAC narrows every domain from both
+// ends, and wipes one out when vars > values.
+CspInstance IncreasingChain(int vars, int values) {
+  CspInstance csp(vars, values);
+  std::vector<Tuple> less;
+  for (int x = 0; x < values; ++x) {
+    for (int y = x + 1; y < values; ++y) less.push_back({x, y});
+  }
+  for (int v = 0; v + 1 < vars; ++v) csp.AddConstraint({v, v + 1}, less);
+  return csp;
+}
+
+// A 5-cycle whose edges allow (0, 1), (1, 0) and (2, 2). GAC prunes
+// nothing; SAC refutes every 0 and 1, since an odd cycle is not
+// 2-colourable, and keeps the all-2 solution.
+CspInstance OddCycleWithEscape() {
+  CspInstance csp(5, 3);
+  const std::vector<Tuple> edge = {{0, 1}, {1, 0}, {2, 2}};
+  for (int v = 0; v < 5; ++v) csp.AddConstraint({v, (v + 1) % 5}, edge);
+  return csp;
+}
+
+// How far counter `name` moved from `before` to `after`; an unregistered
+// counter reads 0.
+int64_t CounterDelta(const obs::MetricsSnapshot& before,
+                     const obs::MetricsSnapshot& after,
+                     const std::string& name) {
+  auto value = [&name](const obs::MetricsSnapshot& snapshot) -> int64_t {
+    auto it = snapshot.counters.find(name);
+    return it == snapshot.counters.end() ? 0 : it->second;
+  };
+  return value(after) - value(before);
+}
+
+void ExpectSolverCounters(const obs::MetricsSnapshot& before,
+                          const SolverStats& stats) {
+  const obs::MetricsSnapshot after = obs::MetricsRegistry::Global().Snapshot();
+  EXPECT_EQ(CounterDelta(before, after, "csp.nodes"), stats.nodes);
+  EXPECT_EQ(CounterDelta(before, after, "csp.backtracks"), stats.backtracks);
+  EXPECT_EQ(CounterDelta(before, after, "csp.prunings"), stats.prunings);
+  EXPECT_EQ(CounterDelta(before, after, "csp.revisions"), stats.revisions);
+}
+
+// The engines count their work in per-run stats and add the totals to the
+// registry once per run. Each csp.*/gac.* counter must move by exactly
+// the stats field that counts the same event, as a count per event would.
+TEST(ObsMacros, EngineCountersEqualRunStats) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  {
+    SCOPED_TRACE("MAC Solve, unsatisfiable");
+    const CspInstance csp = Pigeonhole(/*vars=*/5, /*values=*/4);
+    BacktrackingSolver solver(csp);
+    const obs::MetricsSnapshot before = registry.Snapshot();
+    EXPECT_FALSE(solver.Solve().has_value());
+    ASSERT_GT(solver.stats().revisions, 0);
+    ASSERT_GT(solver.stats().backtracks, 0);
+    ExpectSolverCounters(before, solver.stats());
+  }
+  {
+    SCOPED_TRACE("CountSolutions, forward checking");
+    SolverOptions options;
+    options.propagation = Propagation::kForwardChecking;
+    const CspInstance csp = Pigeonhole(/*vars=*/4, /*values=*/4);
+    BacktrackingSolver solver(csp, options);
+    const obs::MetricsSnapshot before = registry.Snapshot();
+    EXPECT_EQ(solver.CountSolutions(), 24);
+    ASSERT_GT(solver.stats().prunings, 0);
+    ExpectSolverCounters(before, solver.stats());
+  }
+  {
+    SCOPED_TRACE("Solve stopped by its node limit");
+    SolverOptions options;
+    options.node_limit = 50;
+    const CspInstance csp = Pigeonhole(/*vars=*/7, /*values=*/6);
+    BacktrackingSolver solver(csp, options);
+    const obs::MetricsSnapshot before = registry.Snapshot();
+    EXPECT_FALSE(solver.Solve().has_value());
+    ASSERT_TRUE(solver.stats().aborted);
+    ExpectSolverCounters(before, solver.stats());
+  }
+  {
+    SCOPED_TRACE("EnforceGac with a wipeout");
+    const CspInstance csp = IncreasingChain(/*vars=*/4, /*values=*/3);
+    const obs::MetricsSnapshot before = registry.Snapshot();
+    const AcResult gac = EnforceGac(csp);
+    const obs::MetricsSnapshot after = registry.Snapshot();
+    EXPECT_FALSE(gac.consistent);
+    ASSERT_GT(gac.prunings, 0);
+    EXPECT_EQ(CounterDelta(before, after, "gac.revisions"), gac.revisions);
+    EXPECT_EQ(CounterDelta(before, after, "gac.prunings"), gac.prunings);
+    EXPECT_EQ(CounterDelta(before, after, "gac.wipeouts"), gac.wipeouts);
+  }
+  {
+    SCOPED_TRACE("BackjumpSolver");
+    const CspInstance csp = IncreasingChain(/*vars=*/4, /*values=*/3);
+    BackjumpSolver solver(csp);
+    const obs::MetricsSnapshot before = registry.Snapshot();
+    EXPECT_FALSE(solver.Solve().has_value());
+    const obs::MetricsSnapshot after = registry.Snapshot();
+    const BackjumpStats& stats = solver.stats();
+    ASSERT_GT(stats.backjumps, 0);
+    EXPECT_EQ(CounterDelta(before, after, "csp.backjump_nodes"), stats.nodes);
+    EXPECT_EQ(CounterDelta(before, after, "csp.backjump_backtracks"),
+              stats.backtracks);
+    EXPECT_EQ(CounterDelta(before, after, "csp.backjumps"), stats.backjumps);
+  }
+  {
+    // SAC probes all 15 values, refutes every 0 and 1, then re-probes the
+    // five surviving 2s: 20 probes, 10 refuted. Probes prune into scratch
+    // state, so "gac.prunings" adds their 61 prunings to the 10 that
+    // AcResult::prunings counts.
+    SCOPED_TRACE("EnforceSingletonArcConsistency");
+    const CspInstance csp = OddCycleWithEscape();
+    const obs::MetricsSnapshot before = registry.Snapshot();
+    const AcResult sac = EnforceSingletonArcConsistency(csp);
+    const obs::MetricsSnapshot after = registry.Snapshot();
+    EXPECT_TRUE(sac.consistent);
+    EXPECT_EQ(sac.prunings, 10);
+    EXPECT_EQ(CounterDelta(before, after, "gac.revisions"), sac.revisions);
+    EXPECT_EQ(CounterDelta(before, after, "gac.wipeouts"), 0);
+    EXPECT_EQ(CounterDelta(before, after, "gac.prunings"), 71);
+    EXPECT_EQ(CounterDelta(before, after, "sac.probes"), 20);
+    EXPECT_EQ(CounterDelta(before, after, "sac.probe_wipeouts"), 10);
+  }
 }
 
 TEST(BackjumpSolver, NodeLimitAborts) {

@@ -1,11 +1,7 @@
 // Edge-case regression tests for DbRelation's lazy row-hash index and
-// bulk-append paths: empty relations through join/semijoin/hash-probe
-// kernels (the RehashInto guards), AppendRowsUnchecked, and PrepareIndex
-// for concurrent readers.
+// unchecked-append path: empty relations through join/semijoin/hash-probe
+// kernels (the RehashInto guards), and lookups after AppendRowUnchecked.
 
-#include <atomic>
-#include <cstdint>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,7 +17,6 @@ TEST(RelationEdge, EmptyRelationBasics) {
   EXPECT_TRUE(r.empty());
   EXPECT_EQ(r.size(), 0u);
   EXPECT_FALSE(r.HasRow(Tuple{1, 2}));
-  r.PrepareIndex();  // must not crash on the zero-row index
   EXPECT_FALSE(r.HasRow(Tuple{0, 0}));
   int rows = 0;
   for (auto row : r.rows()) {
@@ -79,48 +74,16 @@ TEST(RelationEdge, HashProbeAfterManyAppendsAndRehashes) {
   EXPECT_FALSE(r.HasRow(Tuple{-1, -1, -1}));
 }
 
-TEST(RelationEdge, AppendRowsUncheckedBulkMatchesRowByRow) {
-  DbRelation bulk({0, 1});
-  DbRelation single({0, 1});
-  std::vector<int> rows;
-  for (int i = 0; i < 100; ++i) {
-    rows.push_back(i);
-    rows.push_back(i * 3);
-    const int row[] = {i, i * 3};
-    single.AppendRowUnchecked(row);
-  }
-  bulk.AppendRowsUnchecked(rows.data(), 100);
-  ASSERT_EQ(bulk.size(), single.size());
-  EXPECT_EQ(bulk.data(), single.data());
-  // The lazy index rebuilds correctly after the bulk append.
-  EXPECT_TRUE(bulk.HasRow(Tuple{50, 150}));
-  EXPECT_FALSE(bulk.HasRow(Tuple{50, 151}));
-  // Zero-row append is a no-op and must not invalidate anything.
-  bulk.AppendRowsUnchecked(nullptr, 0);
-  EXPECT_EQ(bulk.size(), 100u);
-}
-
-TEST(RelationEdge, PrepareIndexAllowsConcurrentHasRow) {
+TEST(RelationEdge, HasRowAfterUncheckedAppends) {
   DbRelation r({0, 1});
-  std::vector<int> rows;
-  for (int i = 0; i < 2000; ++i) {
-    rows.push_back(i);
-    rows.push_back(i + 1);
+  for (int i = 0; i < 100; ++i) {
+    const int row[] = {i, i * 3};
+    r.AppendRowUnchecked(row);
   }
-  r.AppendRowsUnchecked(rows.data(), 2000);
-  r.PrepareIndex();  // build the lazy index before readers fan out
-  std::vector<std::thread> threads;
-  std::atomic<int> hits{0};
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&r, &hits, t] {
-      for (int i = t; i < 2000; i += 4) {
-        if (r.HasRow(Tuple{i, i + 1})) hits.fetch_add(1);
-        if (r.HasRow(Tuple{i, i + 2})) hits.fetch_add(1000000);
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  EXPECT_EQ(hits.load(), 2000);
+  EXPECT_EQ(r.size(), 100u);
+  // The lazy index rebuilds correctly after the appends.
+  EXPECT_TRUE(r.HasRow(Tuple{50, 150}));
+  EXPECT_FALSE(r.HasRow(Tuple{50, 151}));
 }
 
 TEST(RelationEdge, SelfJoinAndProjectOnEmpty) {

@@ -15,13 +15,16 @@ Mechanically enforces conventions the compiler cannot:
                   CSPDB_COUNT / CSPDB_TIMER_SCOPE / CSPDB_TRACE_* /
                   CSPDB_GAUGE_* must not appear in headers outside
                   src/obs/. Headers are included into arbitrary TUs, so a
-                  header-side macro instruments every includer whether or
-                  not that TU opted into the obs tier.
+                  header-side macro puts registry traffic into every
+                  includer's inlined code. Instrumentation belongs in the
+                  .cc that owns the work, where it can be kept out of
+                  inner loops.
 
   obs-macro-tier  Layering: src/util/ must not use obs macros at all
                   (obs depends on util, never the reverse), and any .cc
                   file using an obs macro must include "obs/obs.h"
-                  directly rather than picking the tier up transitively.
+                  directly rather than picking the macros up
+                  transitively.
 
   metric-name-literal
                   The name argument of every metric/trace macro
