@@ -1,6 +1,6 @@
 // Serving-layer benchmarks (ISSUE 5): cache hit vs miss latency, the
-// labeling cost that the hit path pays, skewed-stream replay hit
-// rates, and overload shedding. Names follow BM_<op>/<size> and are
+// wire decode and labeling costs that the hit path pays, skewed-stream
+// replay hit rates, and overload shedding. Names follow BM_<op>/<size> and are
 // distilled by bench/distill_bench.py --mode service into
 // BENCH_service.json; the rate counters ride along as benchmark counters.
 
@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -24,6 +25,7 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "net/shard.h"
+#include "net/wire.h"
 #include "service/fingerprint.h"
 #include "service/server.h"
 #include "service/workload.h"
@@ -115,6 +117,22 @@ void BM_label_csp(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_label_csp)->Arg(12)->Arg(24)->Arg(48);
+
+// The wire stage of a hit or a miss: decoding a SolveCsp payload back
+// into its instance, which every served request pays at its entry node.
+void BM_decode_csp(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  std::vector<uint8_t> payload;
+  net::EncodeRequestPayload(SolveCspRequest{BenchCsp(n)}, &payload);
+  std::string error;
+  for (auto _ : state) {
+    std::optional<ServiceRequest> request =
+        net::DecodeRequestPayload(payload.data(), payload.size(), &error);
+    benchmark::DoNotOptimize(request);
+  }
+  state.counters["payload_bytes"] = static_cast<double>(payload.size());
+}
+BENCHMARK(BM_decode_csp)->Arg(12)->Arg(24)->Arg(48);
 
 // End-to-end replay of a Zipf-skewed stream on a fresh service: ns/op is
 // the whole-stream wall time; hit/coalesce rates ride as counters.

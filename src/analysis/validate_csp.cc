@@ -49,13 +49,14 @@ Diagnostics ValidateCspInstance(const CspInstance& csp) {
       sink.Warning(at, "empty relation (instance trivially unsolvable)");
     }
     TupleSet list_set;
-    for (const Tuple& t : c.allowed) {
-      if (t.size() != c.scope.size()) {
-        sink.Error(at, "tuple " + TupleString(t) + " has arity " +
-                           std::to_string(t.size()) + ", scope has arity " +
-                           std::to_string(c.scope.size()));
-        continue;
-      }
+    if (!c.allowed.empty() && c.allowed.arity() != c.arity()) {
+      sink.Error(at, "relation has arity " +
+                         std::to_string(c.allowed.arity()) +
+                         ", scope has arity " + std::to_string(c.arity()));
+      continue;
+    }
+    for (DbRelation::RowRef row : c.allowed) {
+      const Tuple t = row.ToTuple();
       for (int val : t) {
         if (val < 0 || val >= d) {
           sink.Error(at, "tuple " + TupleString(t) + " value " +

@@ -97,7 +97,8 @@ std::string CnfFormula::ToString() const {
       if (j > 0) out += " | ";
       const Literal& lit = clauses[i].literals[j];
       if (!lit.positive) out += "~";
-      out += "x" + std::to_string(lit.var);
+      out += "x";
+      out += std::to_string(lit.var);
     }
     out += ")";
   }

@@ -226,7 +226,7 @@ CspInstance RestrictToDomains(const CspInstance& csp,
   CSPDB_CHECK(static_cast<int>(domains.size()) == csp.num_variables());
   CspInstance out(csp.num_variables(), csp.num_values());
   for (const Constraint& c : csp.constraints()) {
-    out.AddConstraint(c.scope, c.allowed);
+    out.AddConstraintRows(c.scope, c.allowed.data());
   }
   for (int v = 0; v < csp.num_variables(); ++v) {
     std::vector<Tuple> allowed;

@@ -122,7 +122,7 @@ bool IsStronglyKConsistentViaGames(const CspInstance& csp, int k) {
 
 bool IsCoherent(const CspInstance& csp) {
   for (const Constraint& c : csp.constraints()) {
-    for (const Tuple& t : c.allowed) {
+    for (DbRelation::RowRef t : c.allowed) {
       // Well-definedness on repeated scope variables.
       std::vector<int> partial(csp.num_variables(), kUnassigned);
       bool well_defined = true;

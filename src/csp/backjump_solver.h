@@ -39,6 +39,9 @@ class BackjumpSolver {
  public:
   explicit BackjumpSolver(const CspInstance& csp,
                           BackjumpOptions options = {});
+  /// The solver keeps a reference to its instance, which a temporary
+  /// would not outlive.
+  BackjumpSolver(CspInstance&& csp, BackjumpOptions options = {}) = delete;
 
   /// Finds one solution or proves unsolvability (or hits the node limit —
   /// check stats().aborted before reading std::nullopt as unsolvable).

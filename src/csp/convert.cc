@@ -11,20 +11,19 @@
 namespace cspdb {
 
 HomInstance ToHomomorphismInstance(const CspInstance& csp) {
-  // Identify distinct constraint relations by their canonical (sorted)
-  // tuple lists. Arity is part of the key implicitly via tuple length.
-  std::map<std::vector<Tuple>, int> relation_ids;
+  // Identify distinct constraint relations by arity and sorted rows.
+  std::map<std::pair<int, std::vector<int>>, int> relation_ids;
   std::vector<const Constraint*> by_constraint(csp.constraints().size());
   Vocabulary voc;
   std::vector<int> constraint_rel(csp.constraints().size());
   for (std::size_t i = 0; i < csp.constraints().size(); ++i) {
     const Constraint& c = csp.constraints()[i];
-    std::vector<Tuple> canon = c.allowed;
-    std::sort(canon.begin(), canon.end());
-    auto [it, inserted] =
-        relation_ids.emplace(std::move(canon), voc.size());
+    auto [it, inserted] = relation_ids.emplace(
+        std::make_pair(c.arity(), c.allowed_set.data()), voc.size());
     if (inserted) {
-      voc.AddSymbol("R" + std::to_string(it->second), c.arity());
+      std::string name = "R";
+      name += std::to_string(it->second);
+      voc.AddSymbol(name, c.arity());
     }
     constraint_rel[i] = it->second;
     by_constraint[i] = &c;
@@ -35,7 +34,9 @@ HomInstance ToHomomorphismInstance(const CspInstance& csp) {
   for (std::size_t i = 0; i < csp.constraints().size(); ++i) {
     const Constraint& c = *by_constraint[i];
     a.AddTuple(constraint_rel[i], Tuple(c.scope.begin(), c.scope.end()));
-    for (const Tuple& t : c.allowed) b.AddTuple(constraint_rel[i], t);
+    for (DbRelation::RowRef t : c.allowed) {
+      b.AddTuple(constraint_rel[i], t.ToTuple());
+    }
   }
   for (int v = 0; v < csp.num_variables(); ++v) {
     a.SetElementName(v, csp.VariableName(v));

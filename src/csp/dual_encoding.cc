@@ -54,8 +54,8 @@ DualEncoding BuildDualEncoding(const CspInstance& csp) {
              tj < static_cast<int>(constraints[j].allowed.size()); ++tj) {
           bool agree = true;
           for (const auto& [p, q] : shared) {
-            if (constraints[i].allowed[ti][p] !=
-                constraints[j].allowed[tj][q]) {
+            if (constraints[i].allowed.row(ti)[p] !=
+                constraints[j].allowed.row(tj)[q]) {
               agree = false;
               break;
             }
@@ -82,7 +82,7 @@ std::vector<int> DecodeDualSolution(const DualEncoding& encoding,
                 choice < static_cast<int>(c.allowed.size()));
     for (int p = 0; p < c.arity(); ++p) {
       int var = c.scope[p];
-      int val = c.allowed[choice][p];
+      int val = c.allowed.row(choice)[p];
       CSPDB_CHECK_MSG(
           assignment[var] == kUnassigned || assignment[var] == val,
           "dual solution disagrees on a shared variable");
@@ -127,7 +127,7 @@ CspInstance HiddenVariableEncoding(const CspInstance& csp) {
       std::vector<Tuple> agree;
       for (int t = 0; t < static_cast<int>(constraints[c].allowed.size());
            ++t) {
-        agree.push_back({t, constraints[c].allowed[t][p]});
+        agree.push_back({t, constraints[c].allowed.row(t)[p]});
       }
       hidden.AddConstraint({n + c, constraints[c].scope[p]},
                            std::move(agree));

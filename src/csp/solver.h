@@ -63,6 +63,9 @@ class BacktrackingSolver {
  public:
   explicit BacktrackingSolver(const CspInstance& csp,
                               SolverOptions options = {});
+  /// The solver keeps a reference to its instance, which a temporary
+  /// would not outlive.
+  BacktrackingSolver(CspInstance&& csp, SolverOptions options = {}) = delete;
 
   /// Finds one solution, or std::nullopt if the instance is unsolvable
   /// (or the node limit was hit — check stats().aborted).

@@ -58,7 +58,7 @@ SupportMasks::SupportMasks(const CspInstance& csp) {
           uint64_t{1} << (ti & 63);
     };
     for (int ti = 0; ti < num_tuples; ++ti) {
-      const Tuple& t = c.allowed[ti];
+      const DbRelation::RowRef t = c.allowed.row(ti);
       for (std::size_t g = 0; g < masks.group_var.size(); ++g) {
         const std::vector<int>& slots = group_slots[g];
         const int val = t[slots[0]];

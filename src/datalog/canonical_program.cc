@@ -66,7 +66,10 @@ class BodyBuilder {
  public:
   void Add(const DatalogAtom& atom) {
     std::string key = atom.predicate;
-    for (int v : atom.args) key += "," + std::to_string(v);
+    for (int v : atom.args) {
+      key += ",";
+      key += std::to_string(v);
+    }
     if (seen_.insert(key).second) body_.push_back(atom);
   }
 

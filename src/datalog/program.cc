@@ -19,7 +19,8 @@ std::string AtomToString(const DatalogAtom& atom) {
   out += "(";
   for (std::size_t i = 0; i < atom.args.size(); ++i) {
     if (i > 0) out += ",";
-    out += "x" + std::to_string(atom.args[i]);
+    out += "x";
+    out += std::to_string(atom.args[i]);
   }
   out += ")";
   return out;

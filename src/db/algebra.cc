@@ -180,7 +180,7 @@ std::vector<DbRelation> ConstraintsAsRelations(const CspInstance& csp) {
   for (const Constraint& c : csp.constraints()) {
     DbRelation r(c.scope);
     r.Reserve(c.allowed.size());
-    for (const Tuple& t : c.allowed) r.AddRow(t);
+    for (DbRelation::RowRef t : c.allowed) r.AddRow(t.data());
     out.push_back(std::move(r));
   }
   return out;

@@ -73,7 +73,8 @@ std::string ConjunctiveQuery::ToString() const {
   std::string out = "Q(";
   for (std::size_t i = 0; i < head_.size(); ++i) {
     if (i > 0) out += ",";
-    out += "x" + std::to_string(head_[i]);
+    out += "x";
+    out += std::to_string(head_[i]);
   }
   out += ") :- ";
   for (std::size_t i = 0; i < body_.size(); ++i) {
@@ -81,7 +82,8 @@ std::string ConjunctiveQuery::ToString() const {
     out += body_[i].predicate + "(";
     for (std::size_t j = 0; j < body_[i].args.size(); ++j) {
       if (j > 0) out += ",";
-      out += "x" + std::to_string(body_[i].args[j]);
+      out += "x";
+      out += std::to_string(body_[i].args[j]);
     }
     out += ")";
   }

@@ -142,7 +142,8 @@ std::string DbRelation::DebugString() const {
   std::string out = "DbRelation[";
   for (std::size_t i = 0; i < schema_.size(); ++i) {
     if (i > 0) out += ",";
-    out += "a" + std::to_string(schema_[i]);
+    out += "a";
+    out += std::to_string(schema_[i]);
   }
   out += "] (" + std::to_string(num_rows_) + " rows)\n";
   for (auto r : rows()) {

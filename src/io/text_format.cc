@@ -104,7 +104,7 @@ std::string SerializeCsp(const CspInstance& csp) {
     out << "constraint " << c.arity();
     for (int v : c.scope) out << " " << v;
     out << "\n";
-    for (const Tuple& t : c.allowed) {
+    for (DbRelation::RowRef t : c.allowed) {
       out << "allow";
       for (int d : t) out << " " << d;
       out << "\n";

@@ -75,7 +75,8 @@ std::string BoundedFormula::ToString(const Vocabulary& voc) const {
       std::string out = voc.symbol(relation_).name + "(";
       for (std::size_t i = 0; i < registers_.size(); ++i) {
         if (i > 0) out += ",";
-        out += "x" + std::to_string(registers_[i]);
+        out += "x";
+        out += std::to_string(registers_[i]);
       }
       return out + ")";
     }

@@ -74,6 +74,20 @@ void PutString(const std::string& s, std::vector<uint8_t>* out) {
   out->insert(out->end(), s.begin(), s.end());
 }
 
+// `n` i32s back to back, written in place.
+void PutI32s(const int* v, std::size_t n, std::vector<uint8_t>* out) {
+  const std::size_t base = out->size();
+  out->resize(base + 4 * n);
+  uint8_t* p = out->data() + base;
+  for (std::size_t i = 0; i < n; ++i, p += 4) {
+    const auto u = static_cast<uint32_t>(v[i]);
+    p[0] = static_cast<uint8_t>(u);
+    p[1] = static_cast<uint8_t>(u >> 8);
+    p[2] = static_cast<uint8_t>(u >> 16);
+    p[3] = static_cast<uint8_t>(u >> 24);
+  }
+}
+
 void PutI32Span(const std::vector<int>& v, std::vector<uint8_t>* out) {
   PutU32(static_cast<uint32_t>(v.size()), out);
   for (int x : v) PutI32(x, out);
@@ -188,13 +202,27 @@ class Reader {
     std::size_t count = 0;
     if (!ReadCount(4, max_count, &count)) return false;
     out->clear();
-    out->reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      int v = 0;
-      if (!ReadI32(&v)) return false;
-      if (v < lo || v > hi) return Fail("array element out of range");
-      out->push_back(v);
+    return AppendI32s(count, lo, hi, "array element out of range", out);
+  }
+
+  /// Appends `count` i32s to `*out`, each validated into [lo, hi]; fails
+  /// with `range_error` at the first value outside.
+  bool AppendI32s(std::size_t count, int lo, int hi, const char* range_error,
+                  std::vector<int>* out) {
+    if (count > remaining() / 4) return Fail("payload truncated");
+    const std::size_t base = out->size();
+    out->resize(base + count);
+    int* dst = out->data() + base;
+    const uint8_t* p = data_ + pos_;
+    for (std::size_t i = 0; i < count; ++i, p += 4) {
+      const auto v = static_cast<int32_t>(
+          static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+          (static_cast<uint32_t>(p[2]) << 16) |
+          (static_cast<uint32_t>(p[3]) << 24));
+      if (v < lo || v > hi) return Fail(range_error);
+      dst[i] = v;
     }
+    pos_ += 4 * count;
     return true;
   }
 
@@ -216,15 +244,20 @@ class Reader {
 // --- CSP instances ----------------------------------------------------------
 
 void EncodeCsp(const CspInstance& csp, std::vector<uint8_t>* out) {
+  // The encoding's size is known up front; reserving it keeps the rows'
+  // in-place writes from reallocating and leaves no spare capacity.
+  std::size_t bytes = 12;
+  for (const Constraint& c : csp.constraints()) {
+    bytes += 8 + 4 * (c.scope.size() + c.allowed.data().size());
+  }
+  out->reserve(out->size() + bytes);
   PutI32(csp.num_variables(), out);
   PutI32(csp.num_values(), out);
   PutU32(static_cast<uint32_t>(csp.constraints().size()), out);
   for (const Constraint& c : csp.constraints()) {
     PutI32Span(c.scope, out);
     PutU32(static_cast<uint32_t>(c.allowed.size()), out);
-    for (const Tuple& t : c.allowed) {
-      for (int v : t) PutI32(v, out);
-    }
+    PutI32s(c.allowed.data().data(), c.allowed.data().size(), out);
   }
 }
 
@@ -259,19 +292,13 @@ bool DecodeCsp(Reader* r, std::optional<CspInstance>* out) {
     const std::size_t arity = scope.size();
     std::size_t num_tuples = 0;
     if (!r->ReadCount(4 * arity, 1u << 24, &num_tuples)) return false;
-    std::vector<Tuple> allowed;
-    allowed.reserve(num_tuples);
-    for (std::size_t t = 0; t < num_tuples; ++t) {
-      Tuple tuple(arity);
-      for (std::size_t k = 0; k < arity; ++k) {
-        if (!r->ReadI32(&tuple[k])) return false;
-        if (tuple[k] < 0 || tuple[k] >= num_values) {
-          return r->Fail("constraint tuple value out of range");
-        }
-      }
-      allowed.push_back(std::move(tuple));
+    // The rows go straight into the flat buffer the constraint keeps.
+    std::vector<int> rows;
+    if (!r->AppendI32s(num_tuples * arity, 0, num_values - 1,
+                       "constraint tuple value out of range", &rows)) {
+      return false;
     }
-    (*out)->AddConstraint(std::move(scope), std::move(allowed));
+    (*out)->AddConstraintRows(std::move(scope), std::move(rows));
   }
   return true;
 }

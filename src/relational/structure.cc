@@ -61,7 +61,9 @@ std::string Structure::ElementName(int e) const {
       !element_names_[e].empty()) {
     return element_names_[e];
   }
-  return "e" + std::to_string(e);
+  std::string name = "e";
+  name += std::to_string(e);
+  return name;
 }
 
 bool Structure::SameTuplesAs(const Structure& other) const {

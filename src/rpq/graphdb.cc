@@ -50,9 +50,13 @@ Structure StructureFromGraphDb(const GraphDb& db,
                                const std::vector<std::string>& alphabet) {
   Vocabulary voc;
   for (int label = 0; label < db.num_labels(); ++label) {
-    std::string name = label < static_cast<int>(alphabet.size())
-                           ? alphabet[label]
-                           : "L" + std::to_string(label);
+    std::string name;
+    if (label < static_cast<int>(alphabet.size())) {
+      name = alphabet[label];
+    } else {
+      name = "L";
+      name += std::to_string(label);
+    }
     voc.AddSymbol(name, 2);
   }
   Structure a(voc, db.num_nodes());

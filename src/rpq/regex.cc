@@ -76,8 +76,10 @@ std::string Regex::ToString(
     case Kind::kConcat: {
       std::string out;
       for (const Regex& c : children_) {
-        bool paren = c.kind() == Kind::kUnion;
-        out += paren ? "(" + c.ToString(alphabet) + ")" : c.ToString(alphabet);
+        const bool paren = c.kind() == Kind::kUnion;
+        if (paren) out += "(";
+        out += c.ToString(alphabet);
+        if (paren) out += ")";
       }
       return out;
     }
@@ -91,10 +93,12 @@ std::string Regex::ToString(
     }
     case Kind::kStar: {
       const Regex& c = children_[0];
-      bool paren = c.kind() == Kind::kUnion || c.kind() == Kind::kConcat;
-      return (paren ? "(" + c.ToString(alphabet) + ")"
-                    : c.ToString(alphabet)) +
-             "*";
+      const bool paren =
+          c.kind() == Kind::kUnion || c.kind() == Kind::kConcat;
+      std::string out = paren ? "(" : "";
+      out += c.ToString(alphabet);
+      out += paren ? ")*" : "*";
+      return out;
     }
   }
   return "~";

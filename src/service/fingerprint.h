@@ -11,7 +11,8 @@
 // the fingerprint and the canonical permutation; it reads each
 // constraint's sorted membership rows (Constraint::allowed_set) and
 // builds no tuples. RelabeledCsp builds the canonical instance from that
-// permutation. The service labels every request and relabels only on the
+// permutation, copying each relation's sorted rows as they stand. The
+// service labels every request and relabels only on the
 // compute path, so a cache hit pays for the labeling alone.
 //
 // Soundness contract (the cache key argument in DESIGN.md): when

@@ -43,7 +43,7 @@ std::optional<std::vector<int>> SolveByBucketElimination(
   for (const Constraint& c : normalized.constraints()) {
     if (c.allowed.empty()) return std::nullopt;
     DbRelation rel(c.scope);
-    for (const Tuple& t : c.allowed) rel.AddRow(t);
+    for (DbRelation::RowRef t : c.allowed) rel.AddRow(t.data());
     place(std::move(rel));
   }
 

@@ -117,7 +117,7 @@ int64_t CountSolutionsByElimination(const CspInstance& csp,
   for (const Constraint& c : normalized.constraints()) {
     WeightedRelation rel;
     rel.schema = c.scope;
-    for (const Tuple& t : c.allowed) rel.rows[t] = 1;
+    for (DbRelation::RowRef t : c.allowed) rel.rows[t.ToTuple()] = 1;
     for (int v : c.scope) covered[v] = 1;
     if (rel.rows.empty()) return 0;
     place(std::move(rel));

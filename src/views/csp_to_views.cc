@@ -20,7 +20,9 @@ CspToViewsReduction ReduceCspToViewAnswering(const Structure& a,
   CspToViewsReduction red;
   // Alphabet: a_0..a_{m-1}, then e, s, t.
   for (int i = 0; i < m; ++i) {
-    red.setting.alphabet.push_back("a" + std::to_string(i));
+    std::string letter = "a";
+    letter += std::to_string(i);
+    red.setting.alphabet.push_back(std::move(letter));
   }
   int sym_e = m, sym_s = m + 1, sym_t = m + 2;
   red.setting.alphabet.push_back("e");

@@ -113,7 +113,7 @@ TEST(Theorem56, MoreConstrainedThanOriginal) {
     // Every allowed pair in the established constraints must be a partial
     // homomorphism of (a, b).
     for (const Constraint& c : result.csp.constraints()) {
-      for (const Tuple& t : c.allowed) {
+      for (DbRelation::RowRef t : c.allowed) {
         std::vector<int> partial(a.domain_size(), kUnassigned);
         for (int q = 0; q < c.arity(); ++q) partial[c.scope[q]] = t[q];
         EXPECT_TRUE(IsPartialHomomorphism(a, b, partial));

@@ -86,8 +86,10 @@ CspInstance RenamedShuffledCopy(const CspInstance& csp, Rng* rng) {
     for (int v : constraint.scope) scope.push_back(perm[v]);
     std::vector<Tuple> allowed;
     for (int i : Shuffled(constraint.allowed.size(), rng)) {
-      allowed.push_back(constraint.allowed[i]);
-      if (rng->Bernoulli(0.1)) allowed.push_back(constraint.allowed[i]);
+      allowed.push_back(constraint.allowed.row(i).ToTuple());
+      if (rng->Bernoulli(0.1)) {
+        allowed.push_back(constraint.allowed.row(i).ToTuple());
+      }
     }
     copy.AddConstraint(std::move(scope), std::move(allowed));
   }

@@ -48,7 +48,7 @@ ReferenceAcResult ReferenceEnforceGac(const CspInstance& csp) {
       for (int val = 0; val < csp.num_values(); ++val) {
         if (!result.domains[var][val]) continue;
         bool supported = false;
-        for (const Tuple& t : c.allowed) {
+        for (DbRelation::RowRef t : c.allowed) {
           bool ok = true;
           for (int p = 0; p < c.arity(); ++p) {
             if (c.scope[p] == var ? (t[p] != val)

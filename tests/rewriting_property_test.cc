@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "rpq/nfa.h"
@@ -96,8 +98,9 @@ TEST(RewritingProperty, RandomSettings) {
       std::string pattern =
           patterns[rng.UniformInt(0, static_cast<int>(patterns.size()) -
                                          1)];
-      setting.views.push_back(
-          {"V" + std::to_string(v), ParseRegex(pattern, alphabet)});
+      std::string name = "V";
+      name += std::to_string(v);
+      setting.views.push_back({std::move(name), ParseRegex(pattern, alphabet)});
     }
     setting.query = ParseRegex(
         patterns[rng.UniformInt(0, static_cast<int>(patterns.size()) - 1)],

@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
 #include <vector>
 
 #include "boolean/hell_nesetril.h"
+#include "csp/backjump_solver.h"
 #include "csp/convert.h"
 #include "csp/solver.h"
 #include "exec/cancellation.h"
@@ -31,6 +33,17 @@ int64_t BruteForceCount(const CspInstance& csp) {
   }
   return count;
 }
+
+// Both solvers keep a reference to their instance, so they take no
+// temporary: `BacktrackingSolver s(Pigeonhole(5, 4));` must not compile.
+static_assert(std::is_constructible_v<BacktrackingSolver, const CspInstance&>);
+static_assert(!std::is_constructible_v<BacktrackingSolver, CspInstance>);
+static_assert(
+    !std::is_constructible_v<BacktrackingSolver, CspInstance, SolverOptions>);
+static_assert(std::is_constructible_v<BackjumpSolver, const CspInstance&>);
+static_assert(!std::is_constructible_v<BackjumpSolver, CspInstance>);
+static_assert(
+    !std::is_constructible_v<BackjumpSolver, CspInstance, BackjumpOptions>);
 
 class SolverModes : public ::testing::TestWithParam<Propagation> {};
 
