@@ -1,6 +1,7 @@
-// Serving-layer benchmarks (ISSUE 5): cache hit vs miss latency, the
-// wire decode and labeling costs that the hit path pays, skewed-stream
-// replay hit rates, and overload shedding. Names follow BM_<op>/<size> and are
+// Serving-layer benchmarks: cache hit vs miss latency, the wire decode
+// and labeling costs that the hit path pays, the engine stage of cold
+// EvalCq and Datalog requests, skewed-stream replay hit rates, and
+// overload shedding. Names follow BM_<op>/<size> and are
 // distilled by bench/distill_bench.py --mode service into
 // BENCH_service.json; the rate counters ride along as benchmark counters.
 
@@ -15,17 +16,22 @@
 #include <thread>
 #include <unistd.h>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "csp/instance.h"
+#include "datalog/program.h"
+#include "db/conjunctive_query.h"
+#include "db/relation.h"
 #include "exec/thread_pool.h"
 #include "gen/generators.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "net/shard.h"
 #include "net/wire.h"
+#include "relational/structure.h"
 #include "service/fingerprint.h"
 #include "service/server.h"
 #include "service/workload.h"
@@ -133,6 +139,133 @@ void BM_decode_csp(benchmark::State& state) {
   state.counters["payload_bytes"] = static_cast<double>(payload.size());
 }
 BENCHMARK(BM_decode_csp)->Arg(12)->Arg(24)->Arg(48);
+
+// --- engine rows: the request shapes of servebench's cold_engine ----------
+
+// E(x0,x1), ..., E(x{k-1},xk); head (x0, xk).
+ConjunctiveQuery ChainQuery(int k) {
+  std::vector<Atom> body;
+  for (int i = 0; i < k; ++i) body.push_back({"E", {i, i + 1}});
+  return ConjunctiveQuery(k + 1, {0, k}, std::move(body));
+}
+
+// E(c,x1), ..., E(c,xk); head (x1, xk).
+ConjunctiveQuery StarQuery(int k) {
+  std::vector<Atom> body;
+  for (int i = 1; i <= k; ++i) body.push_back({"E", {0, i}});
+  return ConjunctiveQuery(k + 1, {1, k}, std::move(body));
+}
+
+// Directed k-cycle; head (x0, x{k/2}).
+ConjunctiveQuery CycleQuery(int k) {
+  std::vector<Atom> body;
+  for (int i = 0; i < k; ++i) body.push_back({"E", {i, (i + 1) % k}});
+  return ConjunctiveQuery(k, {0, k / 2}, std::move(body));
+}
+
+// Transitive tournament on k vertices; head (x0, x{k-1}).
+ConjunctiveQuery CliqueQuery(int k) {
+  std::vector<Atom> body;
+  for (int i = 0; i < k; ++i) {
+    for (int j = i + 1; j < k; ++j) body.push_back({"E", {i, j}});
+  }
+  return ConjunctiveQuery(k, {0, k - 1}, std::move(body));
+}
+
+// Eight G(n, p) databases, one per iteration in turn, so a row does not
+// hang on one graph.
+std::vector<Structure> BenchDigraphs(int n, double p) {
+  Rng rng(314159);
+  std::vector<Structure> graphs;
+  for (int i = 0; i < 8; ++i) graphs.push_back(RandomDigraph(n, p, &rng));
+  return graphs;
+}
+
+// Evaluate(q, G(n, p)), n the row's size: the engine stage of a cold
+// EvalCq request. `answer_rows` is the mean answer size.
+void EvalCqRow(benchmark::State& state, const ConjunctiveQuery& q, double p) {
+  const std::vector<Structure> graphs =
+      BenchDigraphs(static_cast<int>(state.range(0)), p);
+  std::size_t i = 0;
+  int64_t rows = 0;
+  for (auto _ : state) {
+    DbRelation answer = Evaluate(q, graphs[i++ % graphs.size()]);
+    rows += static_cast<int64_t>(answer.size());
+    benchmark::DoNotOptimize(answer);
+  }
+  state.counters["answer_rows"] =
+      state.iterations() > 0
+          ? static_cast<double>(rows) / static_cast<double>(state.iterations())
+          : 0.0;
+}
+
+void BM_eval_cq_chain(benchmark::State& state) {
+  EvalCqRow(state, ChainQuery(5), 0.08);
+}
+BENCHMARK(BM_eval_cq_chain)->Arg(12)->Arg(48);
+
+void BM_eval_cq_star(benchmark::State& state) {
+  EvalCqRow(state, StarQuery(4), 0.08);
+}
+BENCHMARK(BM_eval_cq_star)->Arg(12)->Arg(48);
+
+void BM_eval_cq_cycle(benchmark::State& state) {
+  EvalCqRow(state, CycleQuery(6), 0.08);
+}
+BENCHMARK(BM_eval_cq_cycle)->Arg(12)->Arg(48);
+
+void BM_eval_cq_clique(benchmark::State& state) {
+  EvalCqRow(state, CliqueQuery(4), 0.15);
+}
+BENCHMARK(BM_eval_cq_clique)->Arg(12)->Arg(48);
+
+// The small random queries of the default request mix (servebench's
+// mixed_pipelined): a stream of n EvalCq requests, RandomCq(4, 4) over
+// G(14, 0.25), one Evaluate per iteration in turn.
+void BM_eval_cq_random(benchmark::State& state) {
+  WorkloadOptions workload;
+  workload.num_requests = static_cast<int>(state.range(0));
+  workload.pool_size = static_cast<int>(state.range(0));
+  workload.seed = 17;
+  workload.weight_solve_csp = 0.0;
+  workload.weight_eval_cq = 1.0;
+  workload.weight_datalog = 0.0;
+  workload.weight_containment = 0.0;
+  const std::vector<ServiceRequest> stream = GenerateRequestStream(workload);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& request = std::get<EvalCqRequest>(stream[i++ % stream.size()]);
+    DbRelation answer = Evaluate(request.query, request.database);
+    benchmark::DoNotOptimize(answer);
+  }
+}
+BENCHMARK(BM_eval_cq_random)->Arg(64);
+
+// A cold Datalog request through Handle with the cache off: transitive
+// closure with the goal "some vertex reaches itself", over G(n, 0.04).
+// Fixpoint, goal rows, fact count and canonical answer order.
+void BM_service_datalog(benchmark::State& state) {
+  DatalogProgram program;
+  program.AddRule({{"T", {0, 1}}, {{"E", {0, 1}}}, 2});
+  program.AddRule({{"T", {0, 1}}, {{"T", {0, 2}}, {"E", {2, 1}}}, 3});
+  program.AddRule({{"G", {}}, {{"T", {0, 0}}}, 1});
+  program.SetGoal("G");
+  std::vector<ServiceRequest> requests;
+  for (Structure& edb :
+       BenchDigraphs(static_cast<int>(state.range(0)), 0.04)) {
+    requests.push_back(DatalogFixpointRequest{program, std::move(edb)});
+  }
+  ServiceOptions options;
+  options.enable_cache = false;
+  options.enable_single_flight = false;
+  CspdbService service(options);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    Response r = service.Handle(requests[i++ % requests.size()]);
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_service_datalog)->Arg(64);
 
 // End-to-end replay of a Zipf-skewed stream on a fresh service: ns/op is
 // the whole-stream wall time; hit/coalesce rates ride as counters.

@@ -105,14 +105,13 @@ class Relations {
     return admitted;
   }
 
-  // The derived facts of every IDB predicate that derived at least one.
-  std::unordered_map<std::string, TupleSet> Facts() const {
-    std::unordered_map<std::string, TupleSet> out;
-    for (const auto& [pred, facts] : idb_) {
-      if (facts.merged.empty()) continue;
-      TupleSet& set = out[pred];
-      set.reserve(facts.merged.size());
-      for (auto row : facts.merged.rows()) set.insert(row.ToTuple());
+  // Moves out the facts of every IDB predicate. Ends the evaluation: the
+  // plans' relations are gone.
+  std::unordered_map<std::string, DbRelation> TakeFacts() {
+    std::unordered_map<std::string, DbRelation> out;
+    out.reserve(idb_.size());
+    for (auto& [pred, facts] : idb_) {
+      out.emplace(pred, std::move(facts.merged));
     }
     return out;
   }
@@ -125,6 +124,33 @@ class Relations {
 };
 
 }  // namespace
+
+const DbRelation* DatalogFixpoint::Rows(const std::string& predicate) const {
+  auto it = idb.find(predicate);
+  return it == idb.end() ? nullptr : &it->second;
+}
+
+int64_t DatalogFixpoint::TotalFacts() const {
+  int64_t total = 0;
+  for (const auto& [pred, rows] : idb) {
+    total += static_cast<int64_t>(rows.size());
+  }
+  return total;
+}
+
+DatalogResult DatalogFixpoint::ToResult() const {
+  DatalogResult result;
+  for (const auto& [pred, rows] : idb) {
+    if (rows.empty()) continue;
+    TupleSet& set = result.idb[pred];
+    set.reserve(rows.size());
+    for (auto row : rows.rows()) set.insert(row.ToTuple());
+  }
+  result.iterations = iterations;
+  result.derivations = derivations;
+  result.delta_sizes = delta_sizes;
+  return result;
+}
 
 const TupleSet& DatalogResult::Facts(const std::string& predicate) const {
   static const TupleSet* empty = new TupleSet();
@@ -145,19 +171,20 @@ DatalogResult EvaluateNaive(const DatalogProgram& program,
   for (const DatalogRule& rule : program.rules()) {
     firings.push_back(relations.MakeFiring(rule, -1));
   }
-  DatalogResult result;
+  DatalogFixpoint fixpoint;
   int64_t admitted = 0;
   do {
-    ++result.iterations;
+    ++fixpoint.iterations;
     CSPDB_COUNT("datalog.iterations");
-    for (Firing& firing : firings) result.derivations += firing.Run();
+    for (Firing& firing : firings) fixpoint.derivations += firing.Run();
     admitted = relations.Merge();
-    result.delta_sizes.push_back(admitted);
+    fixpoint.delta_sizes.push_back(admitted);
     CSPDB_COUNT_N("datalog.delta_facts", admitted);
     CSPDB_TRACE_COUNTER("datalog.delta", admitted);
   } while (admitted > 0);
-  CSPDB_COUNT_N("datalog.derivations", result.derivations);
-  result.idb = relations.Facts();
+  CSPDB_COUNT_N("datalog.derivations", fixpoint.derivations);
+  fixpoint.idb = relations.TakeFacts();
+  DatalogResult result = fixpoint.ToResult();
   CSPDB_AUDIT(AuditOrDie("naive Datalog fixpoint",
                          ValidateDatalogResult(program, edb, result)));
   return result;
@@ -165,6 +192,11 @@ DatalogResult EvaluateNaive(const DatalogProgram& program,
 
 DatalogResult EvaluateSemiNaive(const DatalogProgram& program,
                                 const Structure& edb) {
+  return SemiNaiveFixpoint(program, edb).ToResult();
+}
+
+DatalogFixpoint SemiNaiveFixpoint(const DatalogProgram& program,
+                                  const Structure& edb) {
   CSPDB_TIMER_SCOPE("datalog.semi_naive");
   Relations relations(program, edb);
   // Round 0 fires every rule on the empty IDB. Each later round fires
@@ -180,25 +212,28 @@ DatalogResult EvaluateSemiNaive(const DatalogProgram& program,
       }
     }
   }
-  DatalogResult result;
-  ++result.iterations;
+  DatalogFixpoint fixpoint;
+  ++fixpoint.iterations;
   CSPDB_COUNT("datalog.iterations");
-  for (Firing& firing : first_round) result.derivations += firing.Run();
+  for (Firing& firing : first_round) fixpoint.derivations += firing.Run();
   while (true) {
     const int64_t admitted = relations.Merge();
-    result.delta_sizes.push_back(admitted);
+    fixpoint.delta_sizes.push_back(admitted);
     CSPDB_COUNT_N("datalog.delta_facts", admitted);
     CSPDB_TRACE_COUNTER("datalog.delta", admitted);
     if (admitted == 0) break;
-    ++result.iterations;
+    ++fixpoint.iterations;
     CSPDB_COUNT("datalog.iterations");
-    for (Firing& firing : delta_rounds) result.derivations += firing.Run();
+    for (Firing& firing : delta_rounds) fixpoint.derivations += firing.Run();
   }
-  CSPDB_COUNT_N("datalog.derivations", result.derivations);
-  result.idb = relations.Facts();
+  CSPDB_COUNT_N("datalog.derivations", fixpoint.derivations);
+  fixpoint.idb = relations.TakeFacts();
+  // Validated through the view, so the served path, which reads the flat
+  // relations, is audited too.
   CSPDB_AUDIT(AuditOrDie("semi-naive Datalog fixpoint",
-                         ValidateDatalogResult(program, edb, result)));
-  return result;
+                         ValidateDatalogResult(program, edb,
+                                               fixpoint.ToResult())));
+  return fixpoint;
 }
 
 }  // namespace cspdb

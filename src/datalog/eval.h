@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "datalog/program.h"
+#include "db/relation.h"
 #include "relational/structure.h"
 
 namespace cspdb {
@@ -37,6 +38,29 @@ struct DatalogResult {
   bool GoalDerived(const DatalogProgram& program) const;
 };
 
+/// The least fixpoint as the flat relations the evaluation derived it
+/// in: what EvaluateSemiNaive computes before it builds DatalogResult's
+/// TupleSet view. A caller that reads only some predicates (the service
+/// reads the goal and a count) reads them here, without the view.
+struct DatalogFixpoint {
+  /// Facts per IDB predicate, in the order they were admitted; every IDB
+  /// predicate has an entry, empty if it derived nothing.
+  std::unordered_map<std::string, DbRelation> idb;
+
+  int64_t iterations = 0;   ///< as in DatalogResult
+  int64_t derivations = 0;  ///< as in DatalogResult
+  std::vector<int64_t> delta_sizes;  ///< as in DatalogResult
+
+  /// Facts derived for `predicate`, or null if it is not an IDB predicate.
+  const DbRelation* Rows(const std::string& predicate) const;
+
+  /// Facts derived over every IDB predicate.
+  int64_t TotalFacts() const;
+
+  /// The TupleSet view: the same facts and counters as a DatalogResult.
+  DatalogResult ToResult() const;
+};
+
 /// Naive evaluation: every rule re-fired on all facts each round until no
 /// new fact appears.
 DatalogResult EvaluateNaive(const DatalogProgram& program,
@@ -45,8 +69,13 @@ DatalogResult EvaluateNaive(const DatalogProgram& program,
 /// Semi-naive evaluation: after the first round, each rule is fired once
 /// per body IDB atom with that atom restricted to the previous round's
 /// delta. Produces the same facts as EvaluateNaive with fewer firings.
+/// The same evaluation as SemiNaiveFixpoint, returned as its view.
 DatalogResult EvaluateSemiNaive(const DatalogProgram& program,
                                 const Structure& edb);
+
+/// Semi-naive evaluation, returned as the flat relations it derived.
+DatalogFixpoint SemiNaiveFixpoint(const DatalogProgram& program,
+                                  const Structure& edb);
 
 }  // namespace cspdb
 

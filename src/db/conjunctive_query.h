@@ -65,12 +65,16 @@ class ConjunctiveQuery {
 };
 
 /// Evaluates Q on the database `db`: the head projections of the body's
-/// satisfying bindings, enumerated by the indexed body join of
-/// db/body_join.h (the classical CQ = join-evaluation link, without a
-/// materialized intermediate join). Database predicates are matched to
-/// atom predicates by name; an atom over a predicate absent from `db`
-/// yields an empty result. The result schema lists head positions
-/// 0..n-1.
+/// satisfying bindings (the classical CQ = join-evaluation link). The body
+/// is evaluated by bucket elimination (paper, Section 6): each variable
+/// outside the head is projected out as soon as the atoms that mention it
+/// are joined, each bucket by one indexed body join (db/body_join.h), so
+/// a chain or a star never enumerates the bindings of the whole body. A
+/// body that plans as one bucket, or that is expected to have too few
+/// satisfying bindings to pay for more joins, runs one body join. Database
+/// predicates are matched to atom predicates by name; an atom over a
+/// predicate absent from `db` yields an empty result. The result schema
+/// lists head positions 0..n-1.
 DbRelation Evaluate(const ConjunctiveQuery& q, const Structure& db);
 
 /// True if the Boolean query "exists a satisfying assignment of Q's body"

@@ -7,6 +7,8 @@
 #ifndef CSPDB_DB_JOIN_KEY_H_
 #define CSPDB_DB_JOIN_KEY_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -60,8 +62,8 @@ class KeyIndex {
  public:
   KeyIndex(const DbRelation& rel, const std::vector<int>& key_pos)
       : rel_(rel), key_pos_(key_pos) {
-    std::size_t buckets = 16;
-    while (buckets < rel.size() + (rel.size() >> 1) + 1) buckets <<= 1;
+    const std::size_t buckets = std::max<std::size_t>(
+        16, std::bit_ceil(rel.size() + (rel.size() >> 1) + 1));
     mask_ = buckets - 1;
     heads_.assign(buckets, kNoRow);
     next_.assign(rel.size(), kNoRow);

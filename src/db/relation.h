@@ -140,6 +140,8 @@ class DbRelation {
   // Inserts `row` if absent; the index must be current. Returns true if
   // the row was added.
   bool InsertUnique(const int* row);
+  // Appends `row`'s arity() ints to the buffer; leaves the index alone.
+  void AppendRow(const int* row);
   // (Re)builds the open-addressed index from scratch if stale.
   void EnsureIndex() const;
   void RehashInto(std::size_t capacity) const;

@@ -1,6 +1,7 @@
 #include "net/wire.h"
 
 #include <cstring>
+#include <limits>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -90,7 +91,74 @@ void PutI32s(const int* v, std::size_t n, std::vector<uint8_t>* out) {
 
 void PutI32Span(const std::vector<int>& v, std::vector<uint8_t>* out) {
   PutU32(static_cast<uint32_t>(v.size()), out);
-  for (int x : v) PutI32(x, out);
+  PutI32s(v.data(), v.size(), out);
+}
+
+// --- encoded sizes ----------------------------------------------------------
+//
+// The exact byte count each encoder below writes, so a payload is
+// reserved once and its in-place writes never reallocate.
+
+std::size_t SpanBytes(const std::vector<int>& v) { return 4 + 4 * v.size(); }
+
+std::size_t StringBytes(const std::string& s) { return 4 + s.size(); }
+
+std::size_t CspBytes(const CspInstance& csp) {
+  std::size_t bytes = 12;
+  for (const Constraint& c : csp.constraints()) {
+    bytes += 8 + 4 * (c.scope.size() + c.allowed.data().size());
+  }
+  return bytes;
+}
+
+std::size_t StructureBytes(const Structure& s) {
+  const Vocabulary& voc = s.vocabulary();
+  std::size_t bytes = 8;
+  for (int i = 0; i < voc.size(); ++i) {
+    bytes += StringBytes(voc.symbol(i).name) + 8 +
+             4 * s.tuples(i).size() *
+                 static_cast<std::size_t>(voc.symbol(i).arity);
+  }
+  return bytes;
+}
+
+std::size_t QueryBytes(const ConjunctiveQuery& q) {
+  std::size_t bytes = 8 + SpanBytes(q.head());
+  for (const Atom& atom : q.body()) {
+    bytes += StringBytes(atom.predicate) + SpanBytes(atom.args);
+  }
+  return bytes;
+}
+
+std::size_t DatalogAtomBytes(const DatalogAtom& atom) {
+  return StringBytes(atom.predicate) + SpanBytes(atom.args);
+}
+
+std::size_t ProgramBytes(const DatalogProgram& program) {
+  std::size_t bytes = 4 + StringBytes(program.goal());
+  for (const DatalogRule& rule : program.rules()) {
+    bytes += DatalogAtomBytes(rule.head) + 8;
+    for (const DatalogAtom& atom : rule.body) bytes += DatalogAtomBytes(atom);
+  }
+  return bytes;
+}
+
+std::size_t RowsBytes(const RowsAnswer& rows) {
+  return 12 + SpanBytes(rows.rows);
+}
+
+std::size_t EngineAnswerBytes(const EngineAnswer& answer) {
+  struct Size {
+    std::size_t operator()(const CspAnswer& a) const {
+      return 2 + (a.solution.has_value() ? SpanBytes(*a.solution) : 0);
+    }
+    std::size_t operator()(const RowsAnswer& a) const { return RowsBytes(a); }
+    std::size_t operator()(const DatalogAnswer& a) const {
+      return 9 + RowsBytes(a.goal_facts);
+    }
+    std::size_t operator()(const BoolAnswer&) const { return 1; }
+  };
+  return 1 + std::visit(Size{}, answer);
 }
 
 // --- primitive reader -------------------------------------------------------
@@ -244,13 +312,6 @@ class Reader {
 // --- CSP instances ----------------------------------------------------------
 
 void EncodeCsp(const CspInstance& csp, std::vector<uint8_t>* out) {
-  // The encoding's size is known up front; reserving it keeps the rows'
-  // in-place writes from reallocating and leaves no spare capacity.
-  std::size_t bytes = 12;
-  for (const Constraint& c : csp.constraints()) {
-    bytes += 8 + 4 * (c.scope.size() + c.allowed.data().size());
-  }
-  out->reserve(out->size() + bytes);
   PutI32(csp.num_variables(), out);
   PutI32(csp.num_values(), out);
   PutU32(static_cast<uint32_t>(csp.constraints().size()), out);
@@ -316,9 +377,7 @@ void EncodeStructure(const Structure& s, std::vector<uint8_t>* out) {
   for (int rel = 0; rel < voc.size(); ++rel) {
     const std::vector<Tuple>& tuples = s.tuples(rel);
     PutU32(static_cast<uint32_t>(tuples.size()), out);
-    for (const Tuple& t : tuples) {
-      for (int e : t) PutI32(e, out);
-    }
+    for (const Tuple& t : tuples) PutI32s(t.data(), t.size(), out);
   }
 }
 
@@ -600,13 +659,9 @@ bool DecodeRows(Reader* r, RowsAnswer* rows) {
     return r->Fail("arity-0 rows must carry no values");
   }
   rows->rows.clear();
-  rows->rows.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    int v = 0;
-    if (!r->ReadI32(&v)) return false;
-    rows->rows.push_back(v);
-  }
-  return true;
+  return r->AppendI32s(count, std::numeric_limits<int32_t>::min(),
+                       std::numeric_limits<int32_t>::max(),
+                       "row value out of range", &rows->rows);
 }
 
 void EncodeAnswer(const EngineAnswer& answer, std::vector<uint8_t>* out) {
@@ -682,6 +737,21 @@ bool DecodeAnswer(Reader* r, EngineAnswer* answer) {
 
 void EncodeRequestPayload(const ServiceRequest& request,
                           std::vector<uint8_t>* out) {
+  struct Size {
+    std::size_t operator()(const SolveCspRequest& r) const {
+      return CspBytes(r.instance);
+    }
+    std::size_t operator()(const EvalCqRequest& r) const {
+      return QueryBytes(r.query) + StructureBytes(r.database);
+    }
+    std::size_t operator()(const DatalogFixpointRequest& r) const {
+      return ProgramBytes(r.program) + StructureBytes(r.edb);
+    }
+    std::size_t operator()(const CheckContainmentRequest& r) const {
+      return QueryBytes(r.q1) + QueryBytes(r.q2);
+    }
+  };
+  out->reserve(out->size() + 1 + std::visit(Size{}, request));
   PutU8(static_cast<uint8_t>(KindOf(request)), out);
   struct Encoder {
     std::vector<uint8_t>* out;
@@ -706,6 +776,7 @@ void EncodeRequestPayload(const ServiceRequest& request,
 
 void EncodeResponsePayload(const Response& response,
                            std::vector<uint8_t>* out) {
+  out->reserve(out->size() + 19 + EngineAnswerBytes(response.answer));
   PutU8(static_cast<uint8_t>(response.status), out);
   PutU8(static_cast<uint8_t>(response.kind), out);
   uint8_t bits = 0;
@@ -726,10 +797,12 @@ void EncodeErrorPayload(const std::string& message,
 }
 
 std::vector<uint8_t> AnswerBytes(const Response& response) {
+  const bool ok = response.status == StatusCode::kOk;
   std::vector<uint8_t> out;
+  out.reserve(2 + (ok ? EngineAnswerBytes(response.answer) : 0));
   PutU8(static_cast<uint8_t>(response.status), &out);
   PutU8(static_cast<uint8_t>(response.kind), &out);
-  if (response.status == StatusCode::kOk) EncodeAnswer(response.answer, &out);
+  if (ok) EncodeAnswer(response.answer, &out);
   return out;
 }
 

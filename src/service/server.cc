@@ -1,7 +1,10 @@
 #include "service/server.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
+#include <cstdint>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -35,17 +38,54 @@ bool DeadlinePassed(int64_t deadline_ns) {
   return deadline_ns > 0 && NowNs() >= deadline_ns;
 }
 
-// Sorts `tuples` lexicographically and flattens into a RowsAnswer — the
-// canonical answer order that makes responses byte-identical regardless
-// of evaluation path.
-RowsAnswer CanonicalRows(std::vector<Tuple> tuples, int arity) {
-  std::sort(tuples.begin(), tuples.end());
+// The row indices of `rel` in lexicographic row order. A stable LSD
+// radix sort: columns last to first, and within a column one counting
+// pass per byte, skipped when every row has the same byte there. The
+// values are biased so that unsigned byte order is int order. Unlike a
+// comparison sort it takes no data-dependent branch per row.
+std::vector<uint32_t> SortedRowOrder(const DbRelation& rel) {
+  const auto n = static_cast<uint32_t>(rel.size());
+  const auto arity = static_cast<std::size_t>(rel.arity());
+  const int* data = rel.data().data();
+  std::vector<uint32_t> order(n);
+  std::vector<uint32_t> next(n);
+  std::iota(order.begin(), order.end(), 0u);
+  for (std::size_t c = arity; c-- > 0;) {
+    auto key = [&](uint32_t r) {
+      return static_cast<uint32_t>(data[r * arity + c]) ^ 0x80000000u;
+    };
+    std::array<std::array<uint32_t, 256>, 4> counts{};
+    for (uint32_t r = 0; r < n; ++r) {
+      const uint32_t k = key(r);
+      for (int b = 0; b < 4; ++b) ++counts[b][(k >> (8 * b)) & 0xffu];
+    }
+    for (int b = 0; b < 4; ++b) {
+      std::array<uint32_t, 256>& count = counts[b];
+      if (std::find(count.begin(), count.end(), n) != count.end()) continue;
+      uint32_t start = 0;
+      for (uint32_t& slot : count) start += std::exchange(slot, start);
+      for (uint32_t r : order) next[count[(key(r) >> (8 * b)) & 0xffu]++] = r;
+      order.swap(next);
+    }
+  }
+  return order;
+}
+
+// The rows of `rel` in lexicographic order, flat: the canonical answer
+// order that makes responses byte-identical regardless of evaluation
+// path. Sorts row indices and copies each row once.
+RowsAnswer CanonicalRows(const DbRelation& rel) {
+  const auto arity = static_cast<std::size_t>(rel.arity());
+  const int* data = rel.data().data();
+  const std::vector<uint32_t> order = SortedRowOrder(rel);
   RowsAnswer out;
-  out.arity = arity;
-  out.num_rows = static_cast<int64_t>(tuples.size());
-  out.rows.reserve(tuples.size() * static_cast<std::size_t>(arity));
-  for (const Tuple& t : tuples) {
-    out.rows.insert(out.rows.end(), t.begin(), t.end());
+  out.arity = rel.arity();
+  out.num_rows = static_cast<int64_t>(rel.size());
+  out.rows.resize(rel.size() * arity);
+  int* dst = out.rows.data();
+  for (uint32_t r : order) {
+    std::copy_n(data + r * arity, arity, dst);
+    dst += arity;
   }
   return out;
 }
@@ -256,27 +296,24 @@ std::shared_ptr<const EngineAnswer> CspdbService::RunEngine(
       const auto& req = std::get<EvalCqRequest>(request);
       const DbRelation result = Evaluate(req.query, req.database);
       *work_items = static_cast<int64_t>(result.size());
-      std::vector<Tuple> tuples;
-      tuples.reserve(result.size());
-      for (auto row : result.rows()) tuples.push_back(row.ToTuple());
-      return std::make_shared<const EngineAnswer>(
-          CanonicalRows(std::move(tuples), result.arity()));
+      return std::make_shared<const EngineAnswer>(CanonicalRows(result));
     }
     case RequestKind::kDatalogFixpoint: {
       CSPDB_TIMER_SCOPE("service.engine.datalog_fixpoint");
       const auto& req = std::get<DatalogFixpointRequest>(request);
-      const DatalogResult result = EvaluateSemiNaive(req.program, req.edb);
+      CSPDB_CHECK_MSG(!req.program.goal().empty(), "program has no goal");
+      // The answer is the goal's facts and a count: read both from the
+      // flat fixpoint, without building DatalogResult's TupleSet view.
+      const DatalogFixpoint fixpoint = SemiNaiveFixpoint(req.program, req.edb);
       DatalogAnswer answer;
-      answer.goal_derived = result.GoalDerived(req.program);
-      const TupleSet& goal_facts = result.Facts(req.program.goal());
-      std::vector<Tuple> tuples(goal_facts.begin(), goal_facts.end());
-      const int goal_arity =
-          std::max(0, req.program.ArityOf(req.program.goal()));
-      answer.goal_facts = CanonicalRows(std::move(tuples), goal_arity);
-      answer.total_idb_facts = 0;
-      for (const auto& [predicate, facts] : result.idb) {
-        answer.total_idb_facts += static_cast<int64_t>(facts.size());
+      if (const DbRelation* goal = fixpoint.Rows(req.program.goal())) {
+        answer.goal_derived = !goal->empty();
+        answer.goal_facts = CanonicalRows(*goal);
+      } else {
+        answer.goal_facts.arity =
+            std::max(0, req.program.ArityOf(req.program.goal()));
       }
+      answer.total_idb_facts = fixpoint.TotalFacts();
       *work_items = answer.total_idb_facts;
       return std::make_shared<const EngineAnswer>(std::move(answer));
     }

@@ -56,6 +56,14 @@ std::vector<int> SortedFlatRows(std::vector<Tuple> tuples) {
   return flat;
 }
 
+int64_t TotalFacts(const DatalogResult& result) {
+  int64_t total = 0;
+  for (const auto& [predicate, facts] : result.idb) {
+    total += static_cast<int64_t>(facts.size());
+  }
+  return total;
+}
+
 ConjunctiveQuery SmallRandomCq(int num_variables, int num_atoms, Rng* rng) {
   std::vector<Atom> body;
   std::vector<bool> used(num_variables, false);
@@ -116,36 +124,59 @@ TEST(ServiceDifferentialTest, SolveCspAgreesWithDirectSolver) {
 }
 
 TEST(ServiceDifferentialTest, EvalCqAgreesWithDirectEvaluate) {
-  for (uint64_t seed = 0; seed < 40; ++seed) {
-    Rng rng(seed * 3 + 1);
-    ConjunctiveQuery q = SmallRandomCq(4, 4, &rng);
-    Structure db = RandomDigraph(9, 0.3, &rng);
-    EngineAnswer answer = AssertPathsAgree(EvalCqRequest{q, db});
+  // The 300-node graphs have elements wider than a byte, so the
+  // canonical row order is checked past each value's low byte.
+  struct Graphs {
+    int nodes;
+    double p;
+    uint64_t seeds;
+  };
+  for (const Graphs graphs : {Graphs{9, 0.3, 40}, Graphs{300, 0.012, 10}}) {
+    for (uint64_t seed = 0; seed < graphs.seeds; ++seed) {
+      Rng rng(seed * 3 + 1);
+      ConjunctiveQuery q = SmallRandomCq(4, 4, &rng);
+      Structure db = RandomDigraph(graphs.nodes, graphs.p, &rng);
+      EngineAnswer answer = AssertPathsAgree(EvalCqRequest{q, db});
 
-    const DbRelation direct = Evaluate(q, db);
-    std::vector<Tuple> tuples;
-    for (auto row : direct.rows()) tuples.push_back(row.ToTuple());
-    const RowsAnswer& rows = std::get<RowsAnswer>(answer);
-    EXPECT_EQ(rows.num_rows, static_cast<int64_t>(direct.size()));
-    EXPECT_EQ(rows.rows, SortedFlatRows(std::move(tuples)))
-        << "row disagreement, seed " << seed;
+      const DbRelation direct = Evaluate(q, db);
+      std::vector<Tuple> tuples;
+      for (auto row : direct.rows()) tuples.push_back(row.ToTuple());
+      const RowsAnswer& rows = std::get<RowsAnswer>(answer);
+      EXPECT_EQ(rows.num_rows, static_cast<int64_t>(direct.size()));
+      EXPECT_EQ(rows.rows, SortedFlatRows(std::move(tuples)))
+          << "row disagreement, " << graphs.nodes << " nodes, seed " << seed;
+    }
   }
 }
 
 TEST(ServiceDifferentialTest, DatalogAgreesWithDirectSemiNaive) {
-  for (uint64_t seed = 0; seed < 30; ++seed) {
-    Rng rng(seed * 5 + 2);
-    DatalogProgram program = NonTwoColorabilityProgram();
-    Structure edb = RandomDigraph(8, 0.25, &rng);
-    EngineAnswer answer = AssertPathsAgree(DatalogFixpointRequest{program, edb});
+  // The closure program's goal is T itself, so its answer carries every
+  // derived pair, not one Boolean fact.
+  DatalogProgram closure;
+  closure.AddRule({{"T", {0, 1}}, {{"E", {0, 1}}}, 2});
+  closure.AddRule({{"T", {0, 1}}, {{"T", {0, 2}}, {"E", {2, 1}}}, 3});
+  closure.SetGoal("T");
+  for (const DatalogProgram& program :
+       {NonTwoColorabilityProgram(), closure}) {
+    for (uint64_t seed = 0; seed < 30; ++seed) {
+      Rng rng(seed * 5 + 2);
+      Structure edb = RandomDigraph(8, 0.25, &rng);
+      EngineAnswer answer =
+          AssertPathsAgree(DatalogFixpointRequest{program, edb});
 
-    const DatalogResult direct = EvaluateSemiNaive(program, edb);
-    const DatalogAnswer& datalog = std::get<DatalogAnswer>(answer);
-    EXPECT_EQ(datalog.goal_derived, direct.GoalDerived(program))
-        << "goal disagreement, seed " << seed;
-    const TupleSet& goal_facts = direct.Facts(program.goal());
-    EXPECT_EQ(datalog.goal_facts.rows,
-              SortedFlatRows({goal_facts.begin(), goal_facts.end()}));
+      const DatalogResult direct = EvaluateSemiNaive(program, edb);
+      const DatalogAnswer& datalog = std::get<DatalogAnswer>(answer);
+      EXPECT_EQ(datalog.goal_derived, direct.GoalDerived(program))
+          << "goal disagreement, seed " << seed;
+      const TupleSet& goal_facts = direct.Facts(program.goal());
+      EXPECT_EQ(datalog.goal_facts.arity, program.ArityOf(program.goal()));
+      EXPECT_EQ(datalog.goal_facts.num_rows,
+                static_cast<int64_t>(goal_facts.size()));
+      EXPECT_EQ(datalog.goal_facts.rows,
+                SortedFlatRows({goal_facts.begin(), goal_facts.end()}));
+      EXPECT_EQ(datalog.total_idb_facts, TotalFacts(direct))
+          << "fact count disagreement, seed " << seed;
+    }
   }
 }
 

@@ -402,6 +402,35 @@ TEST(WireResponse, RoundTripsEveryAnswerVariant) {
   }
 }
 
+// Every encoder reserves its payload's exact size up front, so a payload
+// holds no spare capacity: a size estimate that ran short would regrow
+// the buffer past its size, and one that ran long would leave slack.
+TEST(WirePayload, EncodersReserveTheExactSize) {
+  for (const ServiceRequest& request : SampleRequests()) {
+    const std::vector<uint8_t> payload = Encode(request);
+    EXPECT_EQ(payload.capacity(), payload.size())
+        << "request kind " << static_cast<int>(service::KindOf(request));
+  }
+  std::vector<service::EngineAnswer> answers;
+  answers.push_back(service::CspAnswer{std::vector<int>{2, 0, 1}, true});
+  answers.push_back(service::CspAnswer{std::nullopt, false});
+  answers.push_back(service::RowsAnswer{2, 3, {0, 1, 1, 0, 2, 2}});
+  answers.push_back(
+      service::DatalogAnswer{true, service::RowsAnswer{1, 2, {4, 5}}, 7});
+  answers.push_back(service::BoolAnswer{true});
+  for (const service::EngineAnswer& answer : answers) {
+    Response response;
+    response.answer = answer;
+    std::vector<uint8_t> payload;
+    EncodeResponsePayload(response, &payload);
+    EXPECT_EQ(payload.capacity(), payload.size())
+        << "answer variant " << answer.index();
+    const std::vector<uint8_t> bytes = AnswerBytes(response);
+    EXPECT_EQ(bytes.capacity(), bytes.size())
+        << "answer variant " << answer.index();
+  }
+}
+
 TEST(WireResponse, RowPayloadMismatchRejected) {
   service::RowsAnswer a;
   a.arity = 2;
