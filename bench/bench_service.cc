@@ -87,14 +87,16 @@ void BM_service_hit(benchmark::State& state) {
 }
 BENCHMARK(BM_service_hit)->Arg(12)->Arg(24)->Arg(48);
 
-// Latency of a guaranteed miss (invalidated every iteration): the full
-// canonicalize + engine + insert path on a small instance.
+// Latency of a guaranteed miss (the cache is off): canonicalize +
+// single-flight + engine on a small instance, without the cache's lookup
+// and insert.
 void BM_service_miss(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  CspdbService service;
+  ServiceOptions options;
+  options.enable_cache = false;
+  CspdbService service(options);
   ServiceRequest request = SolveCspRequest{BenchCsp(n)};
   for (auto _ : state) {
-    service.InvalidateKind(RequestKind::kSolveCsp);
     Response r = service.Handle(request);
     benchmark::DoNotOptimize(r);
   }
@@ -257,7 +259,6 @@ void BM_service_datalog(benchmark::State& state) {
   }
   ServiceOptions options;
   options.enable_cache = false;
-  options.enable_single_flight = false;
   CspdbService service(options);
   std::size_t i = 0;
   for (auto _ : state) {

@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "consistency/arc_consistency.h"
@@ -43,7 +44,9 @@ cspdb::CspInstance RingInstance(int n, int d) {
     }
   }
   for (int v = 0; v < n; ++v) {
-    csp.SetVariableName(v, "t" + std::to_string(v));
+    std::string name = "t";
+    name += std::to_string(v);
+    csp.SetVariableName(v, name);
     csp.AddConstraint({v, (v + 1) % n}, different);
   }
   csp.AddConstraint({0, 1}, before);

@@ -79,17 +79,6 @@ DbRelation Project(const DbRelation& r, const std::vector<int>& attrs) {
   return out;
 }
 
-DbRelation Select(const DbRelation& r,
-                  const std::function<bool(const Tuple&)>& predicate) {
-  DbRelation out(r.schema());
-  Tuple scratch;
-  for (auto row : r.rows()) {
-    scratch.assign(row.begin(), row.end());
-    if (predicate(scratch)) out.AppendRowUnchecked(row.data());
-  }
-  return out;
-}
-
 DbRelation SelectEquals(const DbRelation& r, int attr, int value) {
   int p = r.AttributePosition(attr);
   CSPDB_CHECK_MSG(p >= 0, "selection attribute not in schema");

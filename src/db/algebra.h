@@ -6,7 +6,6 @@
 #define CSPDB_DB_ALGEBRA_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "csp/instance.h"
@@ -20,10 +19,6 @@ DbRelation NaturalJoin(const DbRelation& r, const DbRelation& s);
 
 /// Projection onto `attrs` (each must occur in r's schema); deduplicates.
 DbRelation Project(const DbRelation& r, const std::vector<int>& attrs);
-
-/// Rows of r satisfying `predicate`.
-DbRelation Select(const DbRelation& r,
-                  const std::function<bool(const Tuple&)>& predicate);
 
 /// Rows of r where attribute `attr` equals `value`.
 DbRelation SelectEquals(const DbRelation& r, int attr, int value);

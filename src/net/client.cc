@@ -237,11 +237,6 @@ bool Connection::Ping(uint64_t request_id, int64_t timeout_ms,
 
 PeerClient::PeerClient(std::string address) : address_(std::move(address)) {}
 
-bool PeerClient::down() const {
-  util::MutexLock lock(mu_);
-  return NowMs() < down_until_ms_;
-}
-
 std::optional<service::Response> PeerClient::Call(
     const service::ServiceRequest& request, uint64_t request_id,
     uint16_t flags, std::string* error) {

@@ -83,13 +83,10 @@ class PeerClient {
 
   const std::string& address() const { return address_; }
 
-  /// True while inside a backoff window (sampling view for stats).
-  bool down() const;
-
  private:
   const std::string address_;
 
-  mutable util::Mutex mu_;
+  util::Mutex mu_;
   /// Moved out under mu_ by the calling thread (busy_ set), used without
   /// the lock, and handed back under mu_ when the call completes.
   std::unique_ptr<Connection> conn_ CSPDB_GUARDED_BY(mu_);

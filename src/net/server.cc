@@ -19,6 +19,14 @@
 namespace cspdb::net {
 namespace {
 
+// Connections idle (no frames, nothing in flight) this long are closed.
+constexpr int64_t kIdleTimeoutMs = 60000;
+// Event-loop tick period: the idle sweep's and drain deadline's
+// granularity.
+constexpr int64_t kTickIntervalMs = 200;
+// Shutdown() force-closes connections still busy after this long.
+constexpr int64_t kDrainTimeoutMs = 5000;
+
 int64_t NowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -84,7 +92,7 @@ bool NetServer::Start(std::string* error) {
 
   loop_.AddFd(listen_fd_, EPOLLIN, [this](uint32_t) { HandleAccept(); });
   loop_thread_ = std::thread([this] {
-    loop_.Run(options_.tick_interval_ms, [this] { Tick(); });
+    loop_.Run(kTickIntervalMs, [this] { Tick(); });
   });
   started_ = true;
   return true;
@@ -95,7 +103,7 @@ void NetServer::Shutdown() {
   shut_down_ = true;
   loop_.Post([this] {
     draining_ = true;
-    drain_deadline_ms_ = NowMs() + options_.drain_timeout_ms;
+    drain_deadline_ms_ = NowMs() + kDrainTimeoutMs;
     if (listen_fd_ >= 0) {
       // Connections that completed their handshake are already queued in
       // the backlog, and their clients may have sent requests: take them
@@ -192,8 +200,7 @@ void NetServer::HandleConnEvent(uint64_t id, uint32_t events) {
 
 void NetServer::ProcessFrames(Conn* conn) {
   const uint64_t id = conn->id;
-  while (!conn->closing &&
-         conn->in_flight < options_.max_in_flight_per_connection) {
+  while (!conn->closing && conn->in_flight < kMaxInFlightPerConnection) {
     Frame frame;
     switch (conn->in.Next(&frame)) {
       case FrameAssembler::Status::kNeedMore:
@@ -230,8 +237,7 @@ void NetServer::ProcessFrames(Conn* conn) {
   }
   // Out of the loop with frames possibly still buffered: at the
   // in-flight bound. Stop reading until completions make room.
-  if (!conn->closing &&
-      conn->in_flight >= options_.max_in_flight_per_connection &&
+  if (!conn->closing && conn->in_flight >= kMaxInFlightPerConnection &&
       !conn->paused) {
     conn->paused = true;
     CSPDB_COUNT("net.server.backpressure_pauses");
@@ -304,8 +310,7 @@ void NetServer::CompleteRequest(uint64_t conn_id, uint64_t wire_id,
   }
   SendFrame(conn, frame);
   if (conns_.find(conn_id) == conns_.end()) return;  // send failed hard
-  if (conn->paused &&
-      conn->in_flight < options_.max_in_flight_per_connection &&
+  if (conn->paused && conn->in_flight < kMaxInFlightPerConnection &&
       !conn->closing) {
     conn->paused = false;
     UpdateInterest(conn);
@@ -384,9 +389,8 @@ void NetServer::Tick() {
   for (const auto& [id, conn] : conns_) {
     if (draining_ && now >= drain_deadline_ms_) {
       to_close.push_back(id);  // drain deadline: force-close stragglers
-    } else if (options_.idle_timeout_ms > 0 && conn->in_flight == 0 &&
-               conn->out_offset == conn->out.size() &&
-               now - conn->last_activity_ms > options_.idle_timeout_ms) {
+    } else if (conn->in_flight == 0 && conn->out_offset == conn->out.size() &&
+               now - conn->last_activity_ms > kIdleTimeoutMs) {
       to_close.push_back(id);
       CSPDB_COUNT("net.server.idle_closes");
     }

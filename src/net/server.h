@@ -1,9 +1,9 @@
 // NetServer: the epoll front-end of a cluster node. One loop thread owns
 // every socket; request work runs on the service's thread pool; completed
 // responses hop back to the loop via EventLoop::Post. Per-connection
-// backpressure (reads pause at max_in_flight frames), idle timeouts, and
-// a graceful drain (stop accepting, finish in-flight work, flush, then
-// stop the loop) are all loop-thread bookkeeping.
+// backpressure (reads pause at kMaxInFlightPerConnection frames), idle
+// timeouts, and a graceful drain (stop accepting, finish in-flight work,
+// flush, then stop the loop) are all loop-thread bookkeeping.
 //
 // Request routing: every decoded request goes through
 // CspdbService::Submit's admission-controlled async path, so each one is
@@ -32,23 +32,13 @@
 
 namespace cspdb::net {
 
+/// Requests a single connection may have outstanding before the server
+/// stops reading from it (reads resume as responses complete).
+inline constexpr int kMaxInFlightPerConnection = 32;
+
 struct ServerOptions {
   /// "host:port"; port 0 binds an ephemeral port (see port()).
   std::string listen_address = "127.0.0.1:0";
-
-  /// Requests a single connection may have outstanding before the server
-  /// stops reading from it (resumes as responses flush).
-  int max_in_flight_per_connection = 32;
-
-  /// Connections idle (no frames, nothing in flight) this long are
-  /// closed; <= 0 disables.
-  int64_t idle_timeout_ms = 60000;
-
-  /// Event-loop tick period (idle sweep / drain-deadline granularity).
-  int64_t tick_interval_ms = 200;
-
-  /// Shutdown() force-closes connections still busy after this long.
-  int64_t drain_timeout_ms = 5000;
 
   /// Unused: request work runs on the service's pool
   /// (ServiceOptions::pool). Still accepted so existing node set-ups
@@ -91,8 +81,8 @@ class NetServer {
   const std::string& address() const { return address_; }
 
   /// Graceful drain: stops accepting, lets in-flight requests finish and
-  /// flush (up to drain_timeout_ms), stops the loop, joins the thread.
-  /// Idempotent.
+  /// flush (until a fixed drain deadline), stops the loop, joins the
+  /// thread. Idempotent.
   void Shutdown();
 
   ServerStats stats() const;

@@ -58,7 +58,6 @@ class ShardRouter {
   /// routed and are not counted.
   void Count(const service::Response& response);
 
-  const std::string& self_id() const { return self_id_; }
   RouterStats stats() const;
 
  private:

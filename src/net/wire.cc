@@ -42,37 +42,56 @@ constexpr std::size_t kMaxNameBytes = 256;
 constexpr std::size_t kMaxErrorBytes = 64 << 10;
 
 // --- primitive writer -------------------------------------------------------
+//
+// Every encoder writes through a sink: the payload vector, or a ByteCount
+// that adds up the bytes the same encoder would write. EncodeExact runs
+// an encoder against both, so each wire layout is defined once and a
+// payload is reserved to its exact size before its in-place writes.
 
-void PutU8(uint8_t v, std::vector<uint8_t>* out) { out->push_back(v); }
+struct ByteCount {
+  std::size_t bytes = 0;
+};
 
-void PutU16(uint16_t v, std::vector<uint8_t>* out) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
+// `n` raw bytes.
+void PutBytes(const void* data, std::size_t n, std::vector<uint8_t>* out) {
+  const auto* p = static_cast<const uint8_t*>(data);
+  out->insert(out->end(), p, p + n);
 }
 
-void PutU32(uint32_t v, std::vector<uint8_t>* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
+void PutBytes(const void*, std::size_t n, ByteCount* out) { out->bytes += n; }
+
+// `v` as `kWidth` little-endian bytes.
+template <int kWidth, typename Out>
+void PutLittleEndian(uint64_t v, Out* out) {
+  uint8_t bytes[kWidth];
+  for (int i = 0; i < kWidth; ++i) {
+    bytes[i] = static_cast<uint8_t>(v >> (8 * i));
   }
+  PutBytes(bytes, kWidth, out);
 }
 
-void PutU64(uint64_t v, std::vector<uint8_t>* out) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
+template <typename Out>
+void PutU8(uint8_t v, Out* out) { PutLittleEndian<1>(v, out); }
 
-void PutI32(int32_t v, std::vector<uint8_t>* out) {
-  PutU32(static_cast<uint32_t>(v), out);
-}
+template <typename Out>
+void PutU16(uint16_t v, Out* out) { PutLittleEndian<2>(v, out); }
 
-void PutI64(int64_t v, std::vector<uint8_t>* out) {
-  PutU64(static_cast<uint64_t>(v), out);
-}
+template <typename Out>
+void PutU32(uint32_t v, Out* out) { PutLittleEndian<4>(v, out); }
 
-void PutString(const std::string& s, std::vector<uint8_t>* out) {
+template <typename Out>
+void PutU64(uint64_t v, Out* out) { PutLittleEndian<8>(v, out); }
+
+template <typename Out>
+void PutI32(int32_t v, Out* out) { PutU32(static_cast<uint32_t>(v), out); }
+
+template <typename Out>
+void PutI64(int64_t v, Out* out) { PutU64(static_cast<uint64_t>(v), out); }
+
+template <typename Out>
+void PutString(const std::string& s, Out* out) {
   PutU32(static_cast<uint32_t>(s.size()), out);
-  out->insert(out->end(), s.begin(), s.end());
+  PutBytes(s.data(), s.size(), out);
 }
 
 // `n` i32s back to back, written in place.
@@ -89,76 +108,22 @@ void PutI32s(const int* v, std::size_t n, std::vector<uint8_t>* out) {
   }
 }
 
-void PutI32Span(const std::vector<int>& v, std::vector<uint8_t>* out) {
+void PutI32s(const int*, std::size_t n, ByteCount* out) { out->bytes += 4 * n; }
+
+template <typename Out>
+void PutI32Span(const std::vector<int>& v, Out* out) {
   PutU32(static_cast<uint32_t>(v.size()), out);
   PutI32s(v.data(), v.size(), out);
 }
 
-// --- encoded sizes ----------------------------------------------------------
-//
-// The exact byte count each encoder below writes, so a payload is
-// reserved once and its in-place writes never reallocate.
-
-std::size_t SpanBytes(const std::vector<int>& v) { return 4 + 4 * v.size(); }
-
-std::size_t StringBytes(const std::string& s) { return 4 + s.size(); }
-
-std::size_t CspBytes(const CspInstance& csp) {
-  std::size_t bytes = 12;
-  for (const Constraint& c : csp.constraints()) {
-    bytes += 8 + 4 * (c.scope.size() + c.allowed.data().size());
-  }
-  return bytes;
-}
-
-std::size_t StructureBytes(const Structure& s) {
-  const Vocabulary& voc = s.vocabulary();
-  std::size_t bytes = 8;
-  for (int i = 0; i < voc.size(); ++i) {
-    bytes += StringBytes(voc.symbol(i).name) + 8 +
-             4 * s.tuples(i).size() *
-                 static_cast<std::size_t>(voc.symbol(i).arity);
-  }
-  return bytes;
-}
-
-std::size_t QueryBytes(const ConjunctiveQuery& q) {
-  std::size_t bytes = 8 + SpanBytes(q.head());
-  for (const Atom& atom : q.body()) {
-    bytes += StringBytes(atom.predicate) + SpanBytes(atom.args);
-  }
-  return bytes;
-}
-
-std::size_t DatalogAtomBytes(const DatalogAtom& atom) {
-  return StringBytes(atom.predicate) + SpanBytes(atom.args);
-}
-
-std::size_t ProgramBytes(const DatalogProgram& program) {
-  std::size_t bytes = 4 + StringBytes(program.goal());
-  for (const DatalogRule& rule : program.rules()) {
-    bytes += DatalogAtomBytes(rule.head) + 8;
-    for (const DatalogAtom& atom : rule.body) bytes += DatalogAtomBytes(atom);
-  }
-  return bytes;
-}
-
-std::size_t RowsBytes(const RowsAnswer& rows) {
-  return 12 + SpanBytes(rows.rows);
-}
-
-std::size_t EngineAnswerBytes(const EngineAnswer& answer) {
-  struct Size {
-    std::size_t operator()(const CspAnswer& a) const {
-      return 2 + (a.solution.has_value() ? SpanBytes(*a.solution) : 0);
-    }
-    std::size_t operator()(const RowsAnswer& a) const { return RowsBytes(a); }
-    std::size_t operator()(const DatalogAnswer& a) const {
-      return 9 + RowsBytes(a.goal_facts);
-    }
-    std::size_t operator()(const BoolAnswer&) const { return 1; }
-  };
-  return 1 + std::visit(Size{}, answer);
+// Appends what `encode(sink)` writes to `out`, reserving its exact size
+// first by running `encode` against a ByteCount.
+template <typename Encode>
+void EncodeExact(std::vector<uint8_t>* out, const Encode& encode) {
+  ByteCount count;
+  encode(&count);
+  out->reserve(out->size() + count.bytes);
+  encode(out);
 }
 
 // --- primitive reader -------------------------------------------------------
@@ -311,7 +276,8 @@ class Reader {
 
 // --- CSP instances ----------------------------------------------------------
 
-void EncodeCsp(const CspInstance& csp, std::vector<uint8_t>* out) {
+template <typename Out>
+void EncodeCsp(const CspInstance& csp, Out* out) {
   PutI32(csp.num_variables(), out);
   PutI32(csp.num_values(), out);
   PutU32(static_cast<uint32_t>(csp.constraints().size()), out);
@@ -366,7 +332,8 @@ bool DecodeCsp(Reader* r, std::optional<CspInstance>* out) {
 
 // --- structures -------------------------------------------------------------
 
-void EncodeStructure(const Structure& s, std::vector<uint8_t>* out) {
+template <typename Out>
+void EncodeStructure(const Structure& s, Out* out) {
   const Vocabulary& voc = s.vocabulary();
   PutU32(static_cast<uint32_t>(voc.size()), out);
   for (int i = 0; i < voc.size(); ++i) {
@@ -431,7 +398,8 @@ bool DecodeStructure(Reader* r, std::optional<Structure>* out) {
 
 // --- conjunctive queries ----------------------------------------------------
 
-void EncodeQuery(const ConjunctiveQuery& q, std::vector<uint8_t>* out) {
+template <typename Out>
+void EncodeQuery(const ConjunctiveQuery& q, Out* out) {
   PutI32(q.num_variables(), out);
   PutI32Span(q.head(), out);
   PutU32(static_cast<uint32_t>(q.body().size()), out);
@@ -475,12 +443,14 @@ bool DecodeQuery(Reader* r, std::optional<ConjunctiveQuery>* out) {
 
 // --- datalog programs -------------------------------------------------------
 
-void EncodeDatalogAtom(const DatalogAtom& atom, std::vector<uint8_t>* out) {
+template <typename Out>
+void EncodeDatalogAtom(const DatalogAtom& atom, Out* out) {
   PutString(atom.predicate, out);
   PutI32Span(atom.args, out);
 }
 
-void EncodeProgram(const DatalogProgram& program, std::vector<uint8_t>* out) {
+template <typename Out>
+void EncodeProgram(const DatalogProgram& program, Out* out) {
   PutU32(static_cast<uint32_t>(program.rules().size()), out);
   for (const DatalogRule& rule : program.rules()) {
     EncodeDatalogAtom(rule.head, out);
@@ -630,9 +600,36 @@ bool CheckContainment(Reader* r, const ConjunctiveQuery& q1,
   return true;
 }
 
+// --- requests ---------------------------------------------------------------
+
+template <typename Out>
+void EncodeRequest(const ServiceRequest& request, Out* out) {
+  PutU8(static_cast<uint8_t>(KindOf(request)), out);
+  struct Encoder {
+    Out* out;
+    void operator()(const SolveCspRequest& r) const {
+      EncodeCsp(r.instance, out);
+    }
+    void operator()(const EvalCqRequest& r) const {
+      EncodeQuery(r.query, out);
+      EncodeStructure(r.database, out);
+    }
+    void operator()(const DatalogFixpointRequest& r) const {
+      EncodeProgram(r.program, out);
+      EncodeStructure(r.edb, out);
+    }
+    void operator()(const CheckContainmentRequest& r) const {
+      EncodeQuery(r.q1, out);
+      EncodeQuery(r.q2, out);
+    }
+  };
+  std::visit(Encoder{out}, request);
+}
+
 // --- answers ----------------------------------------------------------------
 
-void EncodeRows(const RowsAnswer& rows, std::vector<uint8_t>* out) {
+template <typename Out>
+void EncodeRows(const RowsAnswer& rows, Out* out) {
   PutI32(rows.arity, out);
   PutI64(rows.num_rows, out);
   PutI32Span(rows.rows, out);
@@ -664,10 +661,11 @@ bool DecodeRows(Reader* r, RowsAnswer* rows) {
                        "row value out of range", &rows->rows);
 }
 
-void EncodeAnswer(const EngineAnswer& answer, std::vector<uint8_t>* out) {
+template <typename Out>
+void EncodeAnswer(const EngineAnswer& answer, Out* out) {
   PutU8(static_cast<uint8_t>(answer.index()), out);
   struct Encoder {
-    std::vector<uint8_t>* out;
+    Out* out;
     void operator()(const CspAnswer& a) const {
       PutU8(a.solution.has_value() ? 1 : 0, out);
       if (a.solution.has_value()) PutI32Span(*a.solution, out);
@@ -737,56 +735,23 @@ bool DecodeAnswer(Reader* r, EngineAnswer* answer) {
 
 void EncodeRequestPayload(const ServiceRequest& request,
                           std::vector<uint8_t>* out) {
-  struct Size {
-    std::size_t operator()(const SolveCspRequest& r) const {
-      return CspBytes(r.instance);
-    }
-    std::size_t operator()(const EvalCqRequest& r) const {
-      return QueryBytes(r.query) + StructureBytes(r.database);
-    }
-    std::size_t operator()(const DatalogFixpointRequest& r) const {
-      return ProgramBytes(r.program) + StructureBytes(r.edb);
-    }
-    std::size_t operator()(const CheckContainmentRequest& r) const {
-      return QueryBytes(r.q1) + QueryBytes(r.q2);
-    }
-  };
-  out->reserve(out->size() + 1 + std::visit(Size{}, request));
-  PutU8(static_cast<uint8_t>(KindOf(request)), out);
-  struct Encoder {
-    std::vector<uint8_t>* out;
-    void operator()(const SolveCspRequest& r) const {
-      EncodeCsp(r.instance, out);
-    }
-    void operator()(const EvalCqRequest& r) const {
-      EncodeQuery(r.query, out);
-      EncodeStructure(r.database, out);
-    }
-    void operator()(const DatalogFixpointRequest& r) const {
-      EncodeProgram(r.program, out);
-      EncodeStructure(r.edb, out);
-    }
-    void operator()(const CheckContainmentRequest& r) const {
-      EncodeQuery(r.q1, out);
-      EncodeQuery(r.q2, out);
-    }
-  };
-  std::visit(Encoder{out}, request);
+  EncodeExact(out, [&](auto* sink) { EncodeRequest(request, sink); });
 }
 
 void EncodeResponsePayload(const Response& response,
                            std::vector<uint8_t>* out) {
-  out->reserve(out->size() + 19 + EngineAnswerBytes(response.answer));
-  PutU8(static_cast<uint8_t>(response.status), out);
-  PutU8(static_cast<uint8_t>(response.kind), out);
   uint8_t bits = 0;
   if (response.cache_hit) bits |= 1u << 0;
   if (response.coalesced) bits |= 1u << 1;
   if (response.served_remotely) bits |= 1u << 2;
-  PutU8(bits, out);
-  PutI64(response.latency_ns, out);
-  PutI64(response.queue_wait_ns, out);
-  EncodeAnswer(response.answer, out);
+  EncodeExact(out, [&](auto* sink) {
+    PutU8(static_cast<uint8_t>(response.status), sink);
+    PutU8(static_cast<uint8_t>(response.kind), sink);
+    PutU8(bits, sink);
+    PutI64(response.latency_ns, sink);
+    PutI64(response.queue_wait_ns, sink);
+    EncodeAnswer(response.answer, sink);
+  });
 }
 
 void EncodeErrorPayload(const std::string& message,
@@ -797,12 +762,14 @@ void EncodeErrorPayload(const std::string& message,
 }
 
 std::vector<uint8_t> AnswerBytes(const Response& response) {
-  const bool ok = response.status == StatusCode::kOk;
   std::vector<uint8_t> out;
-  out.reserve(2 + (ok ? EngineAnswerBytes(response.answer) : 0));
-  PutU8(static_cast<uint8_t>(response.status), &out);
-  PutU8(static_cast<uint8_t>(response.kind), &out);
-  if (ok) EncodeAnswer(response.answer, &out);
+  EncodeExact(&out, [&](auto* sink) {
+    PutU8(static_cast<uint8_t>(response.status), sink);
+    PutU8(static_cast<uint8_t>(response.kind), sink);
+    if (response.status == StatusCode::kOk) {
+      EncodeAnswer(response.answer, sink);
+    }
+  });
   return out;
 }
 

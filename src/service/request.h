@@ -19,7 +19,8 @@
 
 namespace cspdb::service {
 
-/// Request kinds, also the invalidation/TTL granularity of the cache.
+/// Request kinds. Each kind salts its fingerprints, and a cache entry
+/// answers only a request of its own kind.
 enum class RequestKind {
   kSolveCsp = 0,
   kEvalCq = 1,

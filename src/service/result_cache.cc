@@ -23,14 +23,11 @@ ResultCache::ResultCache(CacheConfig config) : config_(config) {
 }
 
 std::shared_ptr<const EngineAnswer> ResultCache::Lookup(
-    const Fingerprint& key, RequestKind kind, int64_t now_ns) {
+    const Fingerprint& key, RequestKind kind, int64_t /*unused*/) {
   if (!key.exact) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
-  const uint64_t current_gen =
-      generations_[static_cast<int>(kind)].load(std::memory_order_acquire);
-  const int64_t ttl = config_.ttl_ns[static_cast<int>(kind)];
   Shard& shard = ShardFor(key);
   util::MutexLock lock(shard.mu);
   auto it = shard.index.find(key);
@@ -46,14 +43,6 @@ std::shared_ptr<const EngineAnswer> ResultCache::Lookup(
     misses_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
-  const bool stale = entry.generation != current_gen ||
-                     (ttl > 0 && now_ns - entry.inserted_ns >= ttl);
-  if (stale) {
-    RemoveLocked(shard, it->second);
-    expirations_.fetch_add(1, std::memory_order_relaxed);
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   hits_.fetch_add(1, std::memory_order_relaxed);
   CSPDB_COUNT("service.cache.hit");
@@ -62,7 +51,7 @@ std::shared_ptr<const EngineAnswer> ResultCache::Lookup(
 
 void ResultCache::Insert(const Fingerprint& key, RequestKind kind,
                          std::shared_ptr<const EngineAnswer> answer,
-                         int64_t now_ns) {
+                         int64_t /*unused*/) {
   CSPDB_DCHECK(answer != nullptr);
   if (!key.exact) return;
   const std::size_t bytes = AnswerApproxBytes(*answer) + kEntryOverhead;
@@ -72,9 +61,6 @@ void ResultCache::Insert(const Fingerprint& key, RequestKind kind,
   entry.kind = kind;
   entry.answer = std::move(answer);
   entry.bytes = bytes;
-  entry.inserted_ns = now_ns;
-  entry.generation =
-      generations_[static_cast<int>(kind)].load(std::memory_order_acquire);
 
   Shard& shard = ShardFor(key);
   util::MutexLock lock(shard.mu);
@@ -88,28 +74,12 @@ void ResultCache::Insert(const Fingerprint& key, RequestKind kind,
   EvictLocked(shard);
 }
 
-void ResultCache::InvalidateKind(RequestKind kind) {
-  generations_[static_cast<int>(kind)].fetch_add(1,
-                                                 std::memory_order_acq_rel);
-  CSPDB_COUNT("service.cache.invalidate_kind");
-}
-
-void ResultCache::Clear() {
-  for (auto& shard : shards_) {
-    util::MutexLock lock(shard->mu);
-    shard->lru.clear();
-    shard->index.clear();
-    shard->bytes = 0;
-  }
-}
-
 CacheStats ResultCache::stats() const {
   CacheStats s;
   s.hits = hits_.load(std::memory_order_relaxed);
   s.misses = misses_.load(std::memory_order_relaxed);
   s.insertions = insertions_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);
-  s.expirations = expirations_.load(std::memory_order_relaxed);
   for (const auto& shard : shards_) {
     util::MutexLock lock(shard->mu);
     s.bytes += shard->bytes;

@@ -7,11 +7,13 @@
 // containments) are cached like any other complete answer — repetitive
 // workloads repeat their misses too.
 //
-// Invalidation: each request kind carries a generation counter; bumping
-// it (InvalidateKind) makes every older entry of that kind a miss, and a
-// per-kind TTL ages entries out on lookup. Both exist for engines whose
-// answers may be recomputed under changed configuration; the entries are
-// reclaimed lazily by LRU eviction.
+// No entry expires and none is invalidated: the cache is content
+// addressed. A key fingerprints the whole canonical request (a CSP up to
+// isomorphism; a query together with its database; a program together
+// with its EDB), and every answer is a function of the request alone, so
+// a changed input is a different key and a resident entry cannot go
+// stale. Only the byte budget removes entries, least recently used
+// first.
 //
 // Thread safety: fully thread-safe. Shard mutexes are leaf locks (nothing
 // is called while holding one), keyed by the fingerprint's low word.
@@ -19,7 +21,6 @@
 #ifndef CSPDB_SERVICE_RESULT_CACHE_H_
 #define CSPDB_SERVICE_RESULT_CACHE_H_
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -41,10 +42,6 @@ struct CacheConfig {
 
   /// Shard count (clamped to >= 1). More shards, less lock contention.
   int num_shards = 16;
-
-  /// Per-kind time-to-live in nanoseconds; <= 0 means entries never
-  /// expire. Indexed by RequestKind.
-  std::array<int64_t, kNumRequestKinds> ttl_ns = {-1, -1, -1, -1};
 };
 
 /// Point-in-time counters (monotonic except bytes/entries).
@@ -53,7 +50,6 @@ struct CacheStats {
   int64_t misses = 0;
   int64_t insertions = 0;
   int64_t evictions = 0;       ///< budget-driven removals
-  int64_t expirations = 0;     ///< TTL / generation removals on lookup
   std::size_t bytes = 0;       ///< currently accounted bytes
   int64_t entries = 0;         ///< currently resident entries
 };
@@ -65,25 +61,21 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// Returns the cached answer for `key`, or nullptr on miss. `now_ns` is
-  /// a steady-clock timestamp for TTL checks. Refreshes LRU position.
-  /// Inexact fingerprints never hit (they are process-unique by
-  /// construction, but the fast-path check keeps intent explicit).
+  /// Returns the cached answer for `key`, or nullptr on miss. Refreshes
+  /// LRU position. Inexact fingerprints never hit (they are
+  /// process-unique by construction, but the fast-path check keeps
+  /// intent explicit). The trailing timestamp is ignored; servebench's
+  /// replay still passes one.
   std::shared_ptr<const EngineAnswer> Lookup(const Fingerprint& key,
                                              RequestKind kind,
-                                             int64_t now_ns);
+                                             int64_t /*unused*/ = 0);
 
   /// Inserts (or replaces) the entry for `key`. Entries larger than the
   /// whole budget are dropped on the floor. Inexact keys are not stored.
+  /// The trailing timestamp is ignored, as in Lookup.
   void Insert(const Fingerprint& key, RequestKind kind,
-              std::shared_ptr<const EngineAnswer> answer, int64_t now_ns);
-
-  /// Invalidates every current entry of `kind` (lazily: entries stop
-  /// hitting immediately and are reclaimed by LRU pressure or lookup).
-  void InvalidateKind(RequestKind kind);
-
-  /// Drops every entry.
-  void Clear();
+              std::shared_ptr<const EngineAnswer> answer,
+              int64_t /*unused*/ = 0);
 
   CacheStats stats() const;
   std::size_t max_bytes() const { return config_.max_bytes; }
@@ -94,8 +86,6 @@ class ResultCache {
     RequestKind kind;
     std::shared_ptr<const EngineAnswer> answer;
     std::size_t bytes = 0;
-    int64_t inserted_ns = 0;
-    uint64_t generation = 0;
   };
 
   struct Shard {
@@ -122,13 +112,11 @@ class ResultCache {
   CacheConfig config_;
   std::size_t shard_budget_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::array<std::atomic<uint64_t>, kNumRequestKinds> generations_{};
 
   mutable std::atomic<int64_t> hits_{0};
   mutable std::atomic<int64_t> misses_{0};
   std::atomic<int64_t> insertions_{0};
   std::atomic<int64_t> evictions_{0};
-  std::atomic<int64_t> expirations_{0};
 };
 
 }  // namespace cspdb::service

@@ -96,8 +96,7 @@ CspdbService::CspdbService(ServiceOptions options)
     : options_(options),
       pool_(options.pool != nullptr ? options.pool
                                     : &exec::ThreadPool::Global()),
-      cache_(options.cache),
-      stats_store_(options.stats_store) {}
+      cache_(options.cache) {}
 
 CspdbService::~CspdbService() {
   util::MutexLock lock(drain_mu_);
@@ -218,10 +217,6 @@ ServiceStats CspdbService::stats() const {
   s.rejected = rejected_.load(std::memory_order_relaxed);
   s.uncacheable = uncacheable_.load(std::memory_order_relaxed);
   return s;
-}
-
-void CspdbService::InvalidateKind(RequestKind kind) {
-  cache_.InvalidateKind(kind);
 }
 
 CspdbService::CanonicalRequest CspdbService::Canonicalize(
@@ -420,7 +415,7 @@ std::optional<Response> CspdbService::HandleAbsolute(
 
   if (cacheable) {
     std::shared_ptr<const EngineAnswer> cached =
-        cache_.Lookup(canon.fingerprint, response.kind, NowNs());
+        cache_.Lookup(canon.fingerprint, response.kind);
     if (cached != nullptr) {
       cache_hits_.fetch_add(1, std::memory_order_relaxed);
       response.cache_hit = true;
@@ -459,13 +454,13 @@ std::optional<Response> CspdbService::HandleAbsolute(
     std::shared_ptr<const EngineAnswer> answer =
         RunEngine(request, canon, deadline_ns, &work_items);
     if (answer != nullptr && cacheable) {
-      cache_.Insert(canon.fingerprint, response.kind, answer, NowNs());
+      cache_.Insert(canon.fingerprint, response.kind, answer);
     }
     return answer;
   };
 
   std::shared_ptr<const EngineAnswer> answer;
-  if (options_.enable_single_flight && canon.fingerprint.exact) {
+  if (canon.fingerprint.exact) {
     SingleFlight::Outcome outcome =
         single_flight_.Do(canon.fingerprint, deadline_ns, compute);
     if (outcome.coalesced) {

@@ -61,8 +61,10 @@ struct ServiceOptions {
   exec::ThreadPool* pool = nullptr;
 
   CacheConfig cache;
+  /// Off, nothing is cached, and every request that does not join a
+  /// concurrent identical one runs its engine (the differential tests'
+  /// direct path).
   bool enable_cache = true;
-  bool enable_single_flight = true;
 
   /// Admission bound for Submit(): requests beyond this many concurrently
   /// pending (queued or executing) are REJECTED. <= 0 disables admission
@@ -76,10 +78,6 @@ struct ServiceOptions {
   /// Safety-valve node budget for the CSP solver; -1 = unlimited. A
   /// budget-aborted search is reported as DEADLINE_EXCEEDED.
   int64_t solver_node_limit = -1;
-
-  /// Capacity of the fingerprint-keyed runtime-stats store (bounded LRU;
-  /// see obs/stats_store.h).
-  obs::StatsStoreOptions stats_store;
 };
 
 /// This service's own counters: a per-service view of the process-wide
@@ -155,15 +153,13 @@ class CspdbService {
 
   ServiceStats stats() const;
 
-  /// Drops every cached answer of `kind` (per-engine invalidation hook).
-  void InvalidateKind(RequestKind kind);
-
   ResultCache& cache() { return cache_; }
 
   /// Per-fingerprint outcome history: every canonicalized request records
   /// its outcome here keyed by its canonical fingerprint, so callers (and
   /// a future adaptive dispatcher) can ask how identical prior requests
-  /// behaved. Bounded LRU — see obs/stats_store.h.
+  /// behaved. Bounded LRU with the store's default capacity — see
+  /// obs/stats_store.h.
   const obs::StatsStore& stats_store() const { return stats_store_; }
 
   /// Async submissions currently queued or executing (sampling view for

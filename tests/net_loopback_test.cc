@@ -1,12 +1,14 @@
 // End-to-end loopback tests for the networked serving tier: a real
 // NetServer on a real socket, driven by the blocking client. Covers the
 // single-node round trip, protocol-error handling, graceful shutdown,
-// admission of a clustered node's client requests,
+// admission of a clustered node's client requests, per-connection
+// backpressure at the in-flight bound,
 // and the ISSUE 10 acceptance differential: a two-node consistent-hash
 // cluster serves the Zipfian replay byte-identically to single-node
 // in-process serving, with a nonzero remote hit rate.
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -24,6 +26,7 @@
 #include "net/server.h"
 #include "net/shard.h"
 #include "net/wire.h"
+#include "obs/metrics.h"
 #include "occupy_worker.h"
 #include "relational/structure.h"
 #include "relational/vocabulary.h"
@@ -395,6 +398,76 @@ TEST(NetLoopback, ClusteredNodeAdmitsAndTimesClientRequests) {
             1);
   EXPECT_EQ(node->service->stats().rejected, 2);
   node->server->Shutdown();
+}
+
+TEST(NetLoopback, PipelinedBurstPastTheInFlightBound) {
+  // One connection pipelines three times the in-flight bound of requests
+  // in a single write while the node's only worker is parked. Nothing
+  // completes meanwhile, so the server dispatches exactly the bound and
+  // stops reading; each completion then resumes it. Every request is
+  // still answered exactly once.
+  exec::ThreadPool pool(1);
+  ServiceOptions service_options;
+  service_options.pool = &pool;
+  CspdbService service(service_options);
+  NetServer server(&service);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  std::unique_ptr<Connection> conn =
+      Connection::Dial(server.address(), 2000, &error);
+  ASSERT_NE(conn, nullptr) << error;
+
+  constexpr int kRequests = 3 * kMaxInFlightPerConnection;
+  const std::vector<ServiceRequest> stream = ZipfStream(kRequests);
+  std::vector<uint8_t> bytes;
+  for (int i = 0; i < kRequests; ++i) {
+    Frame frame;
+    frame.type = FrameType::kRequest;
+    frame.request_id = static_cast<uint64_t>(i) + 1;
+    EncodeRequestPayload(stream[i], &frame.payload);
+    AppendFrame(frame, &bytes);
+  }
+  const obs::Counter& pauses = obs::MetricsRegistry::Global().GetCounter(
+      "net.server.backpressure_pauses");
+  const int64_t pauses_before = pauses.value();
+
+  // No ASSERT while the worker is parked: the gate must open on every
+  // path, or teardown waits on the parked task forever.
+  std::promise<void> release;
+  OccupyWorker(&pool, release.get_future().share());
+  const bool sent = conn->SendBytes(bytes.data(), bytes.size(), &error);
+  EXPECT_TRUE(sent) << error;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (sent && pauses.value() == pauses_before &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const int64_t dispatched_at_bound = server.stats().requests_dispatched;
+  release.set_value();
+  ASSERT_TRUE(sent);
+  EXPECT_GT(pauses.value(), pauses_before) << "reads never paused";
+  EXPECT_EQ(dispatched_at_bound, kMaxInFlightPerConnection);
+
+  CspdbService reference;
+  std::vector<int> answers_per_id(kRequests, 0);
+  for (int i = 0; i < kRequests; ++i) {
+    uint64_t wire_id = 0;
+    std::optional<Response> response =
+        ReadResponse(conn.get(), 10000, &wire_id, &error);
+    ASSERT_TRUE(response.has_value()) << "response " << i << ": " << error;
+    ASSERT_GE(wire_id, 1u);
+    ASSERT_LE(wire_id, static_cast<uint64_t>(kRequests));
+    ++answers_per_id[wire_id - 1];
+    EXPECT_EQ(response->status, StatusCode::kOk) << "request " << wire_id;
+    EXPECT_EQ(AnswerBytes(*response),
+              AnswerBytes(reference.Handle(stream[wire_id - 1])))
+        << "request " << wire_id;
+  }
+  EXPECT_EQ(answers_per_id, std::vector<int>(kRequests, 1));
+  server.Shutdown();
+  EXPECT_EQ(server.stats().requests_dispatched, kRequests);
+  EXPECT_EQ(server.stats().protocol_errors, 0);
 }
 
 TEST(NetLoopback, ShutdownDrainsInFlightRequests) {

@@ -99,7 +99,6 @@ TEST(ServiceConcurrency, ExpiredLeaderHandsFlightToWaitingFollower) {
   {
     ServiceOptions probe_options;
     probe_options.enable_cache = false;
-    probe_options.enable_single_flight = false;
     CspdbService probe(probe_options);
     const auto t0 = std::chrono::steady_clock::now();
     Response r = probe.Handle(SolveCspRequest{csp});

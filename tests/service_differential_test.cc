@@ -83,13 +83,12 @@ ConjunctiveQuery SmallRandomCq(int num_variables, int num_atoms, Rng* rng) {
 }
 
 // Runs `request` through: a caching service twice (cold + cached), and a
-// fully disabled service (direct path). Asserts the three answers are
+// cache-disabled service (direct path). Asserts the three answers are
 // byte-identical and returns the cold one.
 EngineAnswer AssertPathsAgree(const ServiceRequest& request) {
   CspdbService caching;
   ServiceOptions direct_options;
   direct_options.enable_cache = false;
-  direct_options.enable_single_flight = false;
   CspdbService direct(direct_options);
 
   Response cold = caching.Handle(request);
@@ -201,7 +200,6 @@ TEST(ServiceDifferentialTest, ConcurrentCallersGetByteIdenticalAnswers) {
 
     ServiceOptions reference_options;
     reference_options.enable_cache = false;
-    reference_options.enable_single_flight = false;
     CspdbService reference(reference_options);
     const Response expected = reference.Handle(SolveCspRequest{csp});
     ASSERT_EQ(expected.status, StatusCode::kOk);

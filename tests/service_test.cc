@@ -1,8 +1,7 @@
-// Unit tests for the serving layer (ISSUE 5): cache semantics (TTL,
-// invalidation, byte budget, negative caching, the cache-only Probe),
-// admission control, deadline shedding, destructor drain, and the
-// static-storage / exit-ordering regression for services built on
-// ThreadPool::Global().
+// Unit tests for the serving layer: cache semantics (byte budget,
+// negative caching, the cache-only Probe), admission control, deadline
+// shedding, destructor drain, and the static-storage / exit-ordering
+// regression for services built on ThreadPool::Global().
 
 #include <chrono>
 #include <future>
@@ -194,18 +193,6 @@ TEST(ServiceTest, NegativeAnswersAreCached) {
   EXPECT_EQ(service.stats().engine_invocations, 1);
 }
 
-TEST(ServiceTest, InvalidateKindForcesRecompute) {
-  CspdbService service;
-  Rng rng(11);
-  ServiceRequest request = SolveRequest(RandomBinaryCsp(8, 3, 10, 0.3, &rng));
-  EXPECT_EQ(service.Handle(request).status, StatusCode::kOk);
-  service.InvalidateKind(RequestKind::kSolveCsp);
-  Response after = service.Handle(request);
-  EXPECT_EQ(after.status, StatusCode::kOk);
-  EXPECT_FALSE(after.cache_hit);
-  EXPECT_EQ(service.stats().engine_invocations, 2);
-}
-
 TEST(ServiceTest, CacheCanBeDisabled) {
   ServiceOptions options;
   options.enable_cache = false;
@@ -235,7 +222,7 @@ TEST(ServiceTest, HighlySymmetricInstanceDegradesToUncacheable) {
   EXPECT_EQ(service.stats().engine_invocations, 2);
 }
 
-// --- ResultCache unit tests (deterministic timestamps) ---
+// --- ResultCache unit tests ---
 
 std::shared_ptr<const EngineAnswer> RowsOfBytes(int ints) {
   RowsAnswer rows;
@@ -245,29 +232,6 @@ std::shared_ptr<const EngineAnswer> RowsOfBytes(int ints) {
   return std::make_shared<const EngineAnswer>(std::move(rows));
 }
 
-TEST(ResultCacheTest, TtlExpiresEntries) {
-  CacheConfig config;
-  config.ttl_ns[static_cast<int>(RequestKind::kSolveCsp)] = 100;
-  ResultCache cache(config);
-  Fingerprint key{1, 2, true};
-  cache.Insert(key, RequestKind::kSolveCsp, RowsOfBytes(4), /*now_ns=*/0);
-  EXPECT_NE(cache.Lookup(key, RequestKind::kSolveCsp, 50), nullptr);
-  EXPECT_EQ(cache.Lookup(key, RequestKind::kSolveCsp, 150), nullptr);
-  EXPECT_EQ(cache.stats().expirations, 1);
-  EXPECT_EQ(cache.stats().entries, 0);
-}
-
-TEST(ResultCacheTest, PerKindInvalidation) {
-  ResultCache cache(CacheConfig{});
-  Fingerprint csp_key{1, 2, true};
-  Fingerprint cq_key{3, 4, true};
-  cache.Insert(csp_key, RequestKind::kSolveCsp, RowsOfBytes(4), 0);
-  cache.Insert(cq_key, RequestKind::kEvalCq, RowsOfBytes(4), 0);
-  cache.InvalidateKind(RequestKind::kSolveCsp);
-  EXPECT_EQ(cache.Lookup(csp_key, RequestKind::kSolveCsp, 1), nullptr);
-  EXPECT_NE(cache.Lookup(cq_key, RequestKind::kEvalCq, 1), nullptr);
-}
-
 TEST(ResultCacheTest, ByteBudgetDrivesLruEviction) {
   CacheConfig config;
   config.max_bytes = 4096;
@@ -275,15 +239,15 @@ TEST(ResultCacheTest, ByteBudgetDrivesLruEviction) {
   ResultCache cache(config);
   // Each entry ~128B overhead + 400B payload; ~7 fit in 4096.
   for (uint64_t i = 0; i < 32; ++i) {
-    cache.Insert({i, i, true}, RequestKind::kEvalCq, RowsOfBytes(100), 0);
+    cache.Insert({i, i, true}, RequestKind::kEvalCq, RowsOfBytes(100));
     EXPECT_LE(cache.stats().bytes, config.max_bytes) << "after insert " << i;
   }
   CacheStats stats = cache.stats();
   EXPECT_GT(stats.evictions, 0);
   EXPECT_GT(stats.entries, 0);
   // Oldest gone, newest resident.
-  EXPECT_EQ(cache.Lookup({0, 0, true}, RequestKind::kEvalCq, 1), nullptr);
-  EXPECT_NE(cache.Lookup({31, 31, true}, RequestKind::kEvalCq, 1), nullptr);
+  EXPECT_EQ(cache.Lookup({0, 0, true}, RequestKind::kEvalCq), nullptr);
+  EXPECT_NE(cache.Lookup({31, 31, true}, RequestKind::kEvalCq), nullptr);
 }
 
 TEST(ResultCacheTest, OversizedEntryIsDropped) {
@@ -291,8 +255,8 @@ TEST(ResultCacheTest, OversizedEntryIsDropped) {
   config.max_bytes = 1024;
   config.num_shards = 1;
   ResultCache cache(config);
-  cache.Insert({9, 9, true}, RequestKind::kEvalCq, RowsOfBytes(10000), 0);
-  EXPECT_EQ(cache.Lookup({9, 9, true}, RequestKind::kEvalCq, 1), nullptr);
+  cache.Insert({9, 9, true}, RequestKind::kEvalCq, RowsOfBytes(10000));
+  EXPECT_EQ(cache.Lookup({9, 9, true}, RequestKind::kEvalCq), nullptr);
   EXPECT_EQ(cache.stats().entries, 0);
   EXPECT_EQ(cache.stats().bytes, 0u);
 }
@@ -300,8 +264,8 @@ TEST(ResultCacheTest, OversizedEntryIsDropped) {
 TEST(ResultCacheTest, InexactKeysNeverStoredOrHit) {
   ResultCache cache(CacheConfig{});
   Fingerprint inexact{5, 6, false};
-  cache.Insert(inexact, RequestKind::kSolveCsp, RowsOfBytes(4), 0);
-  EXPECT_EQ(cache.Lookup(inexact, RequestKind::kSolveCsp, 1), nullptr);
+  cache.Insert(inexact, RequestKind::kSolveCsp, RowsOfBytes(4));
+  EXPECT_EQ(cache.Lookup(inexact, RequestKind::kSolveCsp), nullptr);
   EXPECT_EQ(cache.stats().entries, 0);
 }
 
