@@ -40,6 +40,16 @@ std::string FormatDiagnostics(const Diagnostics& diagnostics) {
   return s;
 }
 
+std::string TupleString(const std::vector<int>& t) {
+  std::string s = "(";
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    if (i > 0) s += ",";
+    s += std::to_string(t[i]);
+  }
+  s += ")";
+  return s;
+}
+
 DiagnosticSink::DiagnosticSink(std::string component, Diagnostics* out)
     : component_(std::move(component)), out_(out) {}
 

@@ -49,6 +49,9 @@ int CountErrors(const Diagnostics& diagnostics);
 /// for an empty list.
 std::string FormatDiagnostics(const Diagnostics& diagnostics);
 
+/// "(1,2,3)": a tuple as validators print it in locations and messages.
+std::string TupleString(const std::vector<int>& t);
+
 /// Appends diagnostics for one component. Validators create one sink per
 /// artifact and call Error/Warning as they find violations.
 class DiagnosticSink {

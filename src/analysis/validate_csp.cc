@@ -5,19 +5,6 @@
 #include <string>
 
 namespace cspdb {
-namespace {
-
-std::string TupleString(const Tuple& t) {
-  std::string s = "(";
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (i > 0) s += ",";
-    s += std::to_string(t[i]);
-  }
-  s += ")";
-  return s;
-}
-
-}  // namespace
 
 Diagnostics ValidateCspInstance(const CspInstance& csp) {
   Diagnostics diagnostics;

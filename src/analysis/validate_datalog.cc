@@ -10,16 +10,6 @@
 namespace cspdb {
 namespace {
 
-std::string TupleString(const Tuple& t) {
-  std::string s = "(";
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (i > 0) s += ",";
-    s += std::to_string(t[i]);
-  }
-  s += ")";
-  return s;
-}
-
 // Read-only fact lookup for the closure check: IDB facts from the
 // result, EDB facts from the structure. A predicate absent from both is
 // an empty relation (matching the evaluator's convention).

@@ -35,16 +35,6 @@ bool BagContains(const std::vector<int>& bag, int v) {
   return std::binary_search(bag.begin(), bag.end(), v);
 }
 
-std::string TupleString(const Tuple& t) {
-  std::string s = "(";
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (i > 0) s += ",";
-    s += std::to_string(t[i]);
-  }
-  s += ")";
-  return s;
-}
-
 // Checks one node-list of tree edges for validity and acyclicity.
 // Returns the adjacency lists; emits diagnostics through `sink`.
 std::vector<std::vector<int>> CheckForest(

@@ -4,8 +4,9 @@
 // intersection (per-vertex connected subtrees), tree-ness — plus the
 // Gottlob-Leone-Scarcello guard-coverage condition for hypertrees, and an
 // optional check of a claimed width against the decomposition's actual
-// width. Unlike the boolean IsValid* predicates in src/treewidth/, each
-// violated condition is reported as its own Diagnostic.
+// width. Each violated condition is reported as its own Diagnostic. These
+// validators are the only implementation of the definitions: the boolean
+// IsValid* predicates in src/treewidth/ are their verdict (no error).
 
 #ifndef CSPDB_ANALYSIS_VALIDATE_DECOMPOSITION_H_
 #define CSPDB_ANALYSIS_VALIDATE_DECOMPOSITION_H_

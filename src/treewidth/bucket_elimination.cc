@@ -78,8 +78,8 @@ std::optional<std::vector<int>> SolveByBucketElimination(
     }
     if (keep.empty()) continue;  // fully projected away; nonempty == OK
     DbRelation projected = Project(joined, keep);
-    // Keep the joined relation in the bucket for solution extraction and
-    // forward the projection to the next bucket.
+    // The bucket keeps its input relations for solution extraction; the
+    // join is dropped and its projection moves to a later bucket.
     place(std::move(projected));
   }
 

@@ -17,31 +17,6 @@
 namespace cspdb {
 namespace {
 
-// Union-find for tree-ness checks.
-class UnionFind {
- public:
-  explicit UnionFind(int n) : parent_(n) {
-    for (int i = 0; i < n; ++i) parent_[i] = i;
-  }
-  int Find(int x) {
-    while (parent_[x] != x) x = parent_[x] = parent_[parent_[x]];
-    return x;
-  }
-  bool Union(int x, int y) {
-    int rx = Find(x), ry = Find(y);
-    if (rx == ry) return false;
-    parent_[rx] = ry;
-    return true;
-  }
-
- private:
-  std::vector<int> parent_;
-};
-
-bool Contains(const std::vector<int>& sorted, int v) {
-  return std::binary_search(sorted.begin(), sorted.end(), v);
-}
-
 // BFS order over the decomposition's tree (forest), parents before
 // children. Returns (order, parent-per-node).
 std::pair<std::vector<int>, std::vector<int>> BfsOrder(
@@ -86,80 +61,7 @@ int HypertreeDecomposition::Width() const {
 
 bool IsValidGeneralizedHypertree(const Hypergraph& h,
                                  const HypertreeDecomposition& htd) {
-  int nodes = static_cast<int>(htd.chi.size());
-  if (htd.lambda.size() != htd.chi.size()) return false;
-
-  // Tree-ness.
-  UnionFind uf(nodes);
-  for (const auto& [x, y] : htd.edges) {
-    if (x < 0 || x >= nodes || y < 0 || y >= nodes || x == y) return false;
-    if (!uf.Union(x, y)) return false;
-  }
-
-  // Bags sorted; guards reference real edges; coverage chi <= union of
-  // guard edges.
-  for (int t = 0; t < nodes; ++t) {
-    if (!std::is_sorted(htd.chi[t].begin(), htd.chi[t].end())) return false;
-    std::unordered_set<int> covered;
-    for (int e : htd.lambda[t]) {
-      if (e < 0 || e >= static_cast<int>(h.edges.size())) return false;
-      covered.insert(h.edges[e].begin(), h.edges[e].end());
-    }
-    for (int v : htd.chi[t]) {
-      if (covered.count(v) == 0) return false;
-    }
-  }
-
-  // Every hyperedge inside some bag.
-  for (const auto& edge : h.edges) {
-    bool found = false;
-    for (int t = 0; t < nodes && !found; ++t) {
-      bool inside = true;
-      for (int v : edge) {
-        if (!Contains(htd.chi[t], v)) {
-          inside = false;
-          break;
-        }
-      }
-      found = inside;
-    }
-    if (!found) return false;
-  }
-
-  // Per-vertex connectivity over the nodes whose bag holds the vertex.
-  std::unordered_set<int> vertices;
-  for (const auto& edge : h.edges) {
-    vertices.insert(edge.begin(), edge.end());
-  }
-  std::vector<std::vector<int>> adj(nodes);
-  for (const auto& [x, y] : htd.edges) {
-    adj[x].push_back(y);
-    adj[y].push_back(x);
-  }
-  for (int v : vertices) {
-    std::vector<int> holders;
-    for (int t = 0; t < nodes; ++t) {
-      if (Contains(htd.chi[t], v)) holders.push_back(t);
-    }
-    if (holders.empty()) return false;
-    std::vector<char> seen(nodes, 0);
-    std::deque<int> queue{holders[0]};
-    seen[holders[0]] = 1;
-    int reached = 0;
-    while (!queue.empty()) {
-      int t = queue.front();
-      queue.pop_front();
-      ++reached;
-      for (int u : adj[t]) {
-        if (!seen[u] && Contains(htd.chi[u], v)) {
-          seen[u] = 1;
-          queue.push_back(u);
-        }
-      }
-    }
-    if (reached != static_cast<int>(holders.size())) return false;
-  }
-  return true;
+  return !HasErrors(ValidateHypertreeDecomposition(h, htd));
 }
 
 TreeDecomposition JoinForestToTreeDecomposition(const Hypergraph& h,

@@ -41,7 +41,9 @@ struct HypertreeDecomposition {
 /// Checks the generalized-hypertree-decomposition conditions against `h`:
 /// (1) every hyperedge is contained in some bag; (2) per-vertex bags form
 /// a connected subtree; (3) every bag is covered by the union of its
-/// guard's hyperedges.
+/// guard's hyperedges; and bags are sorted sets, so a repeated vertex is
+/// invalid. This is the verdict of ValidateHypertreeDecomposition
+/// (analysis/validate_decomposition.h): true iff it reports no error.
 bool IsValidGeneralizedHypertree(const Hypergraph& h,
                                  const HypertreeDecomposition& htd);
 

@@ -1,96 +1,10 @@
 #include "treewidth/tree_decomposition.h"
 
 #include <algorithm>
-#include <deque>
 
-#include "util/check.h"
+#include "analysis/validate_decomposition.h"
 
 namespace cspdb {
-namespace {
-
-// Union-find for forest/connectivity checks.
-class UnionFind {
- public:
-  explicit UnionFind(int n) : parent_(n) {
-    for (int i = 0; i < n; ++i) parent_[i] = i;
-  }
-  int Find(int x) {
-    while (parent_[x] != x) x = parent_[x] = parent_[parent_[x]];
-    return x;
-  }
-  // Returns false if x and y were already connected (a cycle).
-  bool Union(int x, int y) {
-    int rx = Find(x), ry = Find(y);
-    if (rx == ry) return false;
-    parent_[rx] = ry;
-    return true;
-  }
-
- private:
-  std::vector<int> parent_;
-};
-
-bool BagContains(const std::vector<int>& bag, int v) {
-  return std::binary_search(bag.begin(), bag.end(), v);
-}
-
-// Shared skeleton checks: tree-ness and per-vertex connectivity.
-bool SkeletonValid(int num_vertices, const TreeDecomposition& td) {
-  int nodes = static_cast<int>(td.bags.size());
-  UnionFind uf(nodes);
-  for (const auto& [x, y] : td.edges) {
-    if (x < 0 || x >= nodes || y < 0 || y >= nodes || x == y) return false;
-    if (!uf.Union(x, y)) return false;  // cycle
-  }
-  // Per-vertex subtree connectivity: the nodes containing v, with the
-  // induced edges, must be connected.
-  for (int v = 0; v < num_vertices; ++v) {
-    std::vector<int> holders;
-    for (int i = 0; i < nodes; ++i) {
-      if (BagContains(td.bags[i], v)) holders.push_back(i);
-    }
-    if (holders.empty()) return false;  // vertex uncovered
-    // BFS within holder nodes.
-    std::vector<char> is_holder(nodes, 0);
-    for (int h : holders) is_holder[h] = 1;
-    std::vector<std::vector<int>> tree_adj(nodes);
-    for (const auto& [x, y] : td.edges) {
-      tree_adj[x].push_back(y);
-      tree_adj[y].push_back(x);
-    }
-    std::vector<char> seen(nodes, 0);
-    std::deque<int> queue{holders[0]};
-    seen[holders[0]] = 1;
-    int reached = 0;
-    while (!queue.empty()) {
-      int x = queue.front();
-      queue.pop_front();
-      ++reached;
-      for (int y : tree_adj[x]) {
-        if (is_holder[y] && !seen[y]) {
-          seen[y] = 1;
-          queue.push_back(y);
-        }
-      }
-    }
-    if (reached != static_cast<int>(holders.size())) return false;
-  }
-  return true;
-}
-
-bool BagsWellFormed(int num_vertices, const TreeDecomposition& td) {
-  for (const auto& bag : td.bags) {
-    if (bag.empty()) return false;
-    if (!std::is_sorted(bag.begin(), bag.end())) return false;
-    for (std::size_t i = 0; i < bag.size(); ++i) {
-      if (bag[i] < 0 || bag[i] >= num_vertices) return false;
-      if (i > 0 && bag[i] == bag[i - 1]) return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
 
 int TreeDecomposition::Width() const {
   int w = -1;
@@ -101,48 +15,11 @@ int TreeDecomposition::Width() const {
 }
 
 bool IsValidDecomposition(const Graph& g, const TreeDecomposition& td) {
-  if (td.bags.empty()) return g.n == 0;
-  if (!BagsWellFormed(g.n, td)) return false;
-  // Every graph edge inside some bag.
-  for (int u = 0; u < g.n; ++u) {
-    for (int v : g.adj[u]) {
-      if (v < u) continue;
-      bool covered = false;
-      for (const auto& bag : td.bags) {
-        if (BagContains(bag, u) && BagContains(bag, v)) {
-          covered = true;
-          break;
-        }
-      }
-      if (!covered) return false;
-    }
-  }
-  return SkeletonValid(g.n, td);
+  return !HasErrors(ValidateTreeDecomposition(g, td));
 }
 
 bool IsValidForStructure(const Structure& a, const TreeDecomposition& td) {
-  if (td.bags.empty()) return a.domain_size() == 0;
-  if (!BagsWellFormed(a.domain_size(), td)) return false;
-  for (int r = 0; r < a.vocabulary().size(); ++r) {
-    for (const Tuple& t : a.tuples(r)) {
-      bool covered = false;
-      for (const auto& bag : td.bags) {
-        bool inside = true;
-        for (int e : t) {
-          if (!BagContains(bag, e)) {
-            inside = false;
-            break;
-          }
-        }
-        if (inside) {
-          covered = true;
-          break;
-        }
-      }
-      if (!covered) return false;
-    }
-  }
-  return SkeletonValid(a.domain_size(), td);
+  return !HasErrors(ValidateTreeDecompositionForStructure(a, td));
 }
 
 }  // namespace cspdb

@@ -28,14 +28,17 @@ struct TreeDecomposition {
 /// (1) bags are nonempty subsets of the vertex set and every vertex
 /// occurs; (2) both endpoints of every graph edge share a bag; (3) the
 /// bags containing any given vertex induce a connected subtree (and the
-/// node/edge set is a tree/forest).
+/// node/edge set is a tree/forest). This is the verdict of
+/// ValidateTreeDecomposition (analysis/validate_decomposition.h): true iff
+/// it reports no error.
 bool IsValidDecomposition(const Graph& g, const TreeDecomposition& td);
 
 /// The structure form (condition 2 strengthened per the paper): every
-/// tuple of every relation is contained in some bag. Equivalent to
-/// validity for the Gaifman graph, because a bag covering all pairwise
-/// edges of a tuple need not contain the tuple — hence the separate
-/// check.
+/// tuple of every relation is contained in some bag. With (1) and (3)
+/// this is equivalent to validity for the Gaifman graph, since a tree
+/// decomposition holds every clique inside one bag; the tuple check
+/// states the paper's condition directly. The verdict of
+/// ValidateTreeDecompositionForStructure: true iff it reports no error.
 bool IsValidForStructure(const Structure& a, const TreeDecomposition& td);
 
 }  // namespace cspdb

@@ -1,7 +1,5 @@
 #include "views/view.h"
 
-#include "rpq/nfa.h"
-#include "rpq/rpq_eval.h"
 #include "util/check.h"
 
 namespace cspdb {
@@ -16,22 +14,6 @@ GraphDb ExtensionGraph(const ViewSetting& setting,
     }
   }
   return db;
-}
-
-bool ConsistentWithViews(const ViewSetting& setting,
-                         const ViewInstance& instance, const GraphDb& db) {
-  CSPDB_CHECK(instance.ext.size() == setting.views.size());
-  CSPDB_CHECK(db.num_nodes() >= instance.num_objects);
-  CSPDB_CHECK(db.num_labels() ==
-              static_cast<int>(setting.alphabet.size()));
-  for (std::size_t i = 0; i < setting.views.size(); ++i) {
-    Nfa def = Nfa::FromRegex(setting.views[i].definition,
-                             static_cast<int>(setting.alphabet.size()));
-    for (const auto& [x, y] : instance.ext[i]) {
-      if (!RpqHolds(db, def, x, y)) return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace cspdb

@@ -41,12 +41,6 @@ struct ViewInstance {
 GraphDb ExtensionGraph(const ViewSetting& setting,
                        const ViewInstance& instance);
 
-/// True if `db` (over the base alphabet) is consistent with the views:
-/// ext(V_i) is contained in ans(def(V_i), db) for every view. `db` must
-/// have at least `instance.num_objects` nodes, with object o = node o.
-bool ConsistentWithViews(const ViewSetting& setting,
-                         const ViewInstance& instance, const GraphDb& db);
-
 }  // namespace cspdb
 
 #endif  // CSPDB_VIEWS_VIEW_H_

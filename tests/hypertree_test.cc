@@ -106,6 +106,25 @@ TEST(Hypertree, CheckerRejectsBadDecompositions) {
   EXPECT_TRUE(IsValidGeneralizedHypertree(h, good));
 }
 
+TEST(Hypertree, BagWithRepeatedVertexIsInvalid) {
+  // Bags are sets: {0,0,1,2} is sorted and covered, but repeats vertex 0.
+  Hypergraph h{{{0, 1, 2}}};
+  HypertreeDecomposition repeated;
+  repeated.chi = {{0, 0, 1, 2}};
+  repeated.lambda = {{0}};
+  EXPECT_FALSE(IsValidGeneralizedHypertree(h, repeated));
+}
+
+TEST(HypertreeDeathTest, SolveRejectsBagWithRepeatedVertex) {
+  CspInstance csp(3, 2);
+  csp.AddConstraint({0, 1, 2}, {{0, 1, 0}, {1, 0, 1}});
+  HypertreeDecomposition repeated;
+  repeated.chi = {{0, 0, 1, 2}};
+  repeated.lambda = {{0}};
+  EXPECT_DEATH(SolveByHypertreeDecomposition(csp, repeated),
+               "decomposition invalid for this instance");
+}
+
 TEST(Hypertree, SolvesAgreeWithSearch) {
   Rng rng(13);
   for (int trial = 0; trial < 10; ++trial) {
