@@ -1,9 +1,10 @@
 // Serving-layer benchmarks: cache hit vs miss latency, the wire decode
 // and labeling costs that the hit path pays, the engine stage of cold
-// EvalCq and Datalog requests, skewed-stream replay hit rates, and
-// overload shedding. Names follow BM_<op>/<size> and are
-// distilled by bench/distill_bench.py --mode service into
-// BENCH_service.json; the rate counters ride along as benchmark counters.
+// EvalCq and Datalog requests (and the Datalog fixpoint alone),
+// skewed-stream replay hit rates, and overload shedding. Names follow
+// BM_<op>/<size> and are distilled by bench/distill_bench.py --mode
+// service into BENCH_service.json; the rate counters ride along as
+// benchmark counters.
 
 #include <algorithm>
 #include <atomic>
@@ -22,6 +23,7 @@
 #include <benchmark/benchmark.h>
 
 #include "csp/instance.h"
+#include "datalog/eval.h"
 #include "datalog/program.h"
 #include "db/conjunctive_query.h"
 #include "db/relation.h"
@@ -243,15 +245,62 @@ void BM_eval_cq_random(benchmark::State& state) {
 }
 BENCHMARK(BM_eval_cq_random)->Arg(64);
 
-// A cold Datalog request through Handle with the cache off: transitive
-// closure with the goal "some vertex reaches itself", over G(n, 0.04).
-// Fixpoint, goal rows, fact count and canonical answer order.
-void BM_service_datalog(benchmark::State& state) {
+// Transitive closure with the goal "some vertex reaches itself":
+// servebench's cold_engine Datalog program.
+DatalogProgram CycleGoalClosure() {
   DatalogProgram program;
   program.AddRule({{"T", {0, 1}}, {{"E", {0, 1}}}, 2});
   program.AddRule({{"T", {0, 1}}, {{"T", {0, 2}}, {"E", {2, 1}}}, 3});
   program.AddRule({{"G", {}}, {{"T", {0, 0}}}, 1});
   program.SetGoal("G");
+  return program;
+}
+
+// SemiNaiveFixpoint(program, G(n, p)), n the row's size, with no view and
+// no service: the engine stage of a cold Datalog request. The counters
+// are means over the graphs, so they read the same on every run.
+void FixpointRow(benchmark::State& state, const DatalogProgram& program,
+                 double p) {
+  const std::vector<Structure> graphs =
+      BenchDigraphs(static_cast<int>(state.range(0)), p);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    DatalogFixpoint fixpoint =
+        SemiNaiveFixpoint(program, graphs[i++ % graphs.size()]);
+    benchmark::DoNotOptimize(fixpoint);
+  }
+  double facts = 0;
+  double derivations = 0;
+  double iterations = 0;
+  for (const Structure& graph : graphs) {
+    const DatalogFixpoint fixpoint = SemiNaiveFixpoint(program, graph);
+    facts += static_cast<double>(fixpoint.TotalFacts());
+    derivations += static_cast<double>(fixpoint.derivations);
+    iterations += static_cast<double>(fixpoint.iterations);
+  }
+  const double n = static_cast<double>(graphs.size());
+  state.counters["facts"] = facts / n;
+  state.counters["derivations"] = derivations / n;
+  state.counters["iterations"] = iterations / n;
+}
+
+// cold_engine's shape: the cycle-goal closure over G(64, 0.04).
+void BM_datalog_fixpoint_tc(benchmark::State& state) {
+  FixpointRow(state, CycleGoalClosure(), 0.04);
+}
+BENCHMARK(BM_datalog_fixpoint_tc)->Arg(64);
+
+// The default request mix's Section 4 program over G(12, 0.25).
+void BM_datalog_fixpoint_non2col(benchmark::State& state) {
+  FixpointRow(state, NonTwoColorabilityProgram(), 0.25);
+}
+BENCHMARK(BM_datalog_fixpoint_non2col)->Arg(12);
+
+// A cold Datalog request through Handle with the cache off: transitive
+// closure with the goal "some vertex reaches itself", over G(n, 0.04).
+// Fixpoint, goal rows, fact count and canonical answer order.
+void BM_service_datalog(benchmark::State& state) {
+  const DatalogProgram program = CycleGoalClosure();
   std::vector<ServiceRequest> requests;
   for (Structure& edb :
        BenchDigraphs(static_cast<int>(state.range(0)), 0.04)) {

@@ -15,14 +15,18 @@
 namespace cspdb {
 namespace {
 
-// The facts of one IDB predicate during an evaluation.
+// The facts of one IDB predicate during an evaluation, in the order they
+// were admitted, in one relation. A round's boundaries are row offsets:
+// rows [0, end) are the facts earlier rounds admitted, rows [begin, end)
+// the last round's (the delta), and rows past `end` the facts this round
+// derived. The relation's dedup probe is the one check a derived fact
+// makes against every fact known so far.
 struct IdbFacts {
-  explicit IdbFacts(const std::vector<int>& columns)
-      : merged(columns), fresh(columns), next(columns) {}
+  explicit IdbFacts(std::vector<int> columns) : rows(std::move(columns)) {}
 
-  DbRelation merged;  // every fact admitted so far
-  DbRelation fresh;   // the facts the last merge admitted (the delta)
-  DbRelation next;    // facts derived this round that `merged` lacks
+  DbRelation rows;
+  std::size_t begin = 0;
+  std::size_t end = 0;
 };
 
 // One rule, with an optional lead body atom, and the facts its head
@@ -37,22 +41,23 @@ struct Firing {
   JoinIndexes* indexes;
   std::optional<BodyJoin> join;
 
-  // Runs the rule against the relations as they stand; returns the
-  // number of rule firings (satisfying bindings).
+  // Runs the rule against the facts admitted before this round; returns
+  // the number of rule firings (satisfying bindings).
   int64_t Run() {
     for (const BodyAtom& atom : atoms) {
-      if (atom.rows == nullptr || atom.rows->empty()) return 0;
+      if (atom.First() >= atom.Last()) return 0;
     }
     if (!join.has_value()) {
       join.emplace(atoms, rule->head.args, rule->num_variables, lead, indexes);
     }
-    return join->Run(&head->next, &head->merged);
+    return join->Run(&head->rows);
   }
 };
 
 // The relations of one evaluation: flat copies of the EDB relations the
-// program reads, made once, and the facts of every IDB predicate. Rules
-// read `merged` facts, so a round sees only what earlier rounds admitted.
+// program reads, made once, and the facts of every IDB predicate. An IDB
+// atom reads rows [0, end), so a round sees only what earlier rounds
+// admitted, never a fact the same round derived.
 class Relations {
  public:
   Relations(const DatalogProgram& program, const Structure& edb) {
@@ -61,7 +66,7 @@ class Relations {
       if (program.IsIdb(pred)) {
         std::vector<int> columns(static_cast<std::size_t>(arity));
         for (int c = 0; c < arity; ++c) columns[c] = c;
-        idb_.try_emplace(pred, columns);
+        idb_.try_emplace(pred, std::move(columns));
         continue;
       }
       const int rel = edb.vocabulary().IndexOf(pred);
@@ -73,34 +78,36 @@ class Relations {
   }
 
   // `rule` over this evaluation's relations, with body atom `lead` (if
-  // >= 0) first and ranging over its predicate's fresh facts.
+  // >= 0) first and ranging over its predicate's delta.
   Firing MakeFiring(const DatalogRule& rule, int lead) {
     std::vector<BodyAtom> atoms;
     atoms.reserve(rule.body.size());
     for (std::size_t i = 0; i < rule.body.size(); ++i) {
       const DatalogAtom& atom = rule.body[i];
-      const DbRelation* rows = nullptr;
       if (auto it = idb_.find(atom.predicate); it != idb_.end()) {
-        rows = static_cast<int>(i) == lead ? &it->second.fresh
-                                           : &it->second.merged;
+        // The lead atom reads the delta, every other IDB atom [0, end).
+        IdbFacts& facts = it->second;
+        const std::size_t* begin =
+            static_cast<int>(i) == lead ? &facts.begin : nullptr;
+        atoms.push_back({&atom.args, &facts.rows, begin, &facts.end});
       } else if (auto e = edb_.find(atom.predicate); e != edb_.end()) {
-        rows = &e->second;
+        atoms.push_back({&atom.args, &e->second});
+      } else {
+        atoms.push_back({&atom.args, nullptr});
       }
-      atoms.push_back({&atom.args, rows});
     }
     return {&rule, lead, std::move(atoms), &idb_.at(rule.head.predicate),
             &indexes_, std::nullopt};
   }
 
-  // Admits every predicate's `next` facts into `merged`; they become its
-  // `fresh` facts. Returns the number admitted.
+  // Admits every predicate's facts derived this round: they become its
+  // delta. Returns the number admitted.
   int64_t Merge() {
     int64_t admitted = 0;
     for (auto& [pred, facts] : idb_) {
-      for (auto row : facts.next.rows()) facts.merged.AddRow(row.data());
-      admitted += static_cast<int64_t>(facts.next.size());
-      facts.fresh = std::move(facts.next);
-      facts.next = DbRelation(facts.merged.schema());
+      facts.begin = facts.end;
+      facts.end = facts.rows.size();
+      admitted += static_cast<int64_t>(facts.end - facts.begin);
     }
     return admitted;
   }
@@ -111,7 +118,7 @@ class Relations {
     std::unordered_map<std::string, DbRelation> out;
     out.reserve(idb_.size());
     for (auto& [pred, facts] : idb_) {
-      out.emplace(pred, std::move(facts.merged));
+      out.emplace(pred, std::move(facts.rows));
     }
     return out;
   }
@@ -128,6 +135,10 @@ class Relations {
 const DbRelation* DatalogFixpoint::Rows(const std::string& predicate) const {
   auto it = idb.find(predicate);
   return it == idb.end() ? nullptr : &it->second;
+}
+
+bool DatalogFixpoint::Complete() const {
+  return !delta_sizes.empty() && delta_sizes.back() == 0;
 }
 
 int64_t DatalogFixpoint::TotalFacts() const {
@@ -196,12 +207,13 @@ DatalogResult EvaluateSemiNaive(const DatalogProgram& program,
 }
 
 DatalogFixpoint SemiNaiveFixpoint(const DatalogProgram& program,
-                                  const Structure& edb) {
+                                  const Structure& edb,
+                                  const exec::CancellationToken* cancel) {
   CSPDB_TIMER_SCOPE("datalog.semi_naive");
   Relations relations(program, edb);
   // Round 0 fires every rule on the empty IDB. Each later round fires
-  // every rule once per IDB body atom, that atom ranging over the fresh
-  // facts and every other atom over the merged ones.
+  // every rule once per IDB body atom, that atom ranging over the delta
+  // and every other atom over the facts earlier rounds admitted.
   std::vector<Firing> first_round;
   std::vector<Firing> delta_rounds;
   for (const DatalogRule& rule : program.rules()) {
@@ -213,26 +225,27 @@ DatalogFixpoint SemiNaiveFixpoint(const DatalogProgram& program,
     }
   }
   DatalogFixpoint fixpoint;
-  ++fixpoint.iterations;
-  CSPDB_COUNT("datalog.iterations");
-  for (Firing& firing : first_round) fixpoint.derivations += firing.Run();
-  while (true) {
+  std::vector<Firing>* round = &first_round;
+  while (cancel == nullptr || !cancel->cancelled()) {
+    ++fixpoint.iterations;
+    CSPDB_COUNT("datalog.iterations");
+    for (Firing& firing : *round) fixpoint.derivations += firing.Run();
     const int64_t admitted = relations.Merge();
     fixpoint.delta_sizes.push_back(admitted);
     CSPDB_COUNT_N("datalog.delta_facts", admitted);
     CSPDB_TRACE_COUNTER("datalog.delta", admitted);
     if (admitted == 0) break;
-    ++fixpoint.iterations;
-    CSPDB_COUNT("datalog.iterations");
-    for (Firing& firing : delta_rounds) fixpoint.derivations += firing.Run();
+    round = &delta_rounds;
   }
   CSPDB_COUNT_N("datalog.derivations", fixpoint.derivations);
   fixpoint.idb = relations.TakeFacts();
   // Validated through the view, so the served path, which reads the flat
-  // relations, is audited too.
-  CSPDB_AUDIT(AuditOrDie("semi-naive Datalog fixpoint",
-                         ValidateDatalogResult(program, edb,
-                                               fixpoint.ToResult())));
+  // relations, is audited too. A stopped evaluation is no fixpoint.
+  if (fixpoint.Complete()) {
+    CSPDB_AUDIT(AuditOrDie("semi-naive Datalog fixpoint",
+                           ValidateDatalogResult(program, edb,
+                                                 fixpoint.ToResult())));
+  }
   return fixpoint;
 }
 

@@ -13,6 +13,7 @@
 
 #include "datalog/program.h"
 #include "db/relation.h"
+#include "exec/cancellation.h"
 #include "relational/structure.h"
 
 namespace cspdb {
@@ -51,6 +52,11 @@ struct DatalogFixpoint {
   int64_t derivations = 0;  ///< as in DatalogResult
   std::vector<int64_t> delta_sizes;  ///< as in DatalogResult
 
+  /// True if the evaluation reached the least fixpoint: its last round
+  /// admitted nothing. False only for an evaluation a cancellation token
+  /// stopped between rounds; its facts are those admitted so far.
+  bool Complete() const;
+
   /// Facts derived for `predicate`, or null if it is not an IDB predicate.
   const DbRelation* Rows(const std::string& predicate) const;
 
@@ -73,9 +79,12 @@ DatalogResult EvaluateNaive(const DatalogProgram& program,
 DatalogResult EvaluateSemiNaive(const DatalogProgram& program,
                                 const Structure& edb);
 
-/// Semi-naive evaluation, returned as the flat relations it derived.
-DatalogFixpoint SemiNaiveFixpoint(const DatalogProgram& program,
-                                  const Structure& edb);
+/// Semi-naive evaluation, returned as the flat relations it derived. A
+/// non-null `cancel` is polled before each round, and a cancelled token
+/// stops the evaluation there (see DatalogFixpoint::Complete).
+DatalogFixpoint SemiNaiveFixpoint(
+    const DatalogProgram& program, const Structure& edb,
+    const exec::CancellationToken* cancel = nullptr);
 
 }  // namespace cspdb
 

@@ -20,17 +20,20 @@ DbRelation FlatRelation(const Structure& s, int rel) {
 }
 
 int JoinIndexes::Slot(const DbRelation* rel, const std::vector<int>& columns) {
-  auto [it, inserted] =
-      slots_.try_emplace({rel, columns}, static_cast<int>(entries_.size()));
-  if (inserted) entries_.push_back({rel, columns, 0, nullptr});
-  return it->second;
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    if (entries_[i].rel == rel && entries_[i].columns == columns) {
+      return static_cast<int>(i);
+    }
+  }
+  entries_.push_back({rel, columns, 0, nullptr});
+  return static_cast<int>(entries_.size() - 1);
 }
 
-const KeyIndex& JoinIndexes::Get(int slot) {
+const KeyIndex& JoinIndexes::Get(int slot, std::size_t rows) {
   Entry& entry = entries_[static_cast<std::size_t>(slot)];
-  if (entry.index == nullptr || entry.rows != entry.rel->size()) {
-    entry.index = std::make_unique<KeyIndex>(*entry.rel, entry.columns);
-    entry.rows = entry.rel->size();
+  if (entry.index == nullptr || entry.rows != rows) {
+    entry.index = std::make_unique<KeyIndex>(*entry.rel, entry.columns, rows);
+    entry.rows = rows;
   }
   return *entry.index;
 }
@@ -48,7 +51,7 @@ BodyJoin::BodyJoin(const std::vector<BodyAtom>& atoms,
     placed[i] = 1;
     const std::vector<int>& args = *atoms[i].args;
     Step step;
-    step.rows = atoms[i].rows;
+    step.atom = atoms[i];
     std::vector<int> columns;
     for (std::size_t c = 0; c < args.size(); ++c) {
       const int col = static_cast<int>(c);
@@ -69,8 +72,8 @@ BodyJoin::BodyJoin(const std::vector<BodyAtom>& atoms,
       }
     }
     for (const auto& [col, var] : step.bind) bound[var] = 1;
-    if (!columns.empty() && step.rows != nullptr) {
-      step.index = indexes->Slot(step.rows, columns);
+    if (!columns.empty() && step.atom.rows != nullptr) {
+      step.index = indexes->Slot(step.atom.rows, columns);
     }
     steps_.push_back(std::move(step));
   };
@@ -96,16 +99,19 @@ BodyJoin::BodyJoin(const std::vector<BodyAtom>& atoms,
   probes_.resize(steps_.size());
 }
 
-int64_t BodyJoin::Run(DbRelation* out, const DbRelation* known) {
-  for (const Step& step : steps_) {
-    if (step.rows == nullptr || step.rows->empty()) return 0;
+int64_t BodyJoin::Run(DbRelation* out) {
+  // Every bound is fixed here, before the first head row is added.
+  for (Step& step : steps_) {
+    step.first = step.atom.First();
+    step.last = step.atom.Last();
+    if (step.first >= step.last) return 0;
   }
   for (std::size_t d = 0; d < steps_.size(); ++d) {
+    const Step& step = steps_[d];
     probes_[d] =
-        steps_[d].index < 0 ? nullptr : &indexes_->Get(steps_[d].index);
+        step.index < 0 ? nullptr : &indexes_->Get(step.index, step.last);
   }
   out_ = out;
-  known_ = known;
   bindings_ = 0;
   Descend(0);
   return bindings_;
@@ -117,16 +123,16 @@ void BodyJoin::Descend(std::size_t depth) {
     for (std::size_t i = 0; i < head_.size(); ++i) {
       head_row_[i] = binding_[head_[i]];
     }
-    if (known_ == nullptr || !known_->HasRow(head_row_.data())) {
-      out_->AddRow(head_row_.data());
-    }
+    out_->AddRow(head_row_.data());
     return;
   }
   const Step& step = steps_[depth];
-  const std::size_t arity = static_cast<std::size_t>(step.rows->arity());
-  const int* data = step.rows->data().data();
+  const DbRelation& rel = *step.atom.rows;
+  const std::size_t arity = static_cast<std::size_t>(rel.arity());
   auto visit = [&](std::size_t r) {
-    const int* row = data + r * arity;
+    // Read through the relation each time: when it is also the head's,
+    // the rows added below can move its buffer.
+    const int* row = rel.data().data() + r * arity;
     for (const auto& [col, first] : step.same) {
       if (row[col] != row[first]) return;
     }
@@ -135,12 +141,13 @@ void BodyJoin::Descend(std::size_t depth) {
   };
   const KeyIndex* index = probes_[depth];
   if (index == nullptr) {
-    for (std::size_t r = 0; r < step.rows->size(); ++r) visit(r);
+    for (std::size_t r = step.first; r < step.last; ++r) visit(r);
     return;
   }
+  // The index covers rows [0, last); a match below `first` is skipped.
   for (uint32_t r = index->FirstMatch(binding_.data(), step.probe);
        r != kNoRow; r = index->NextMatch(r, binding_.data(), step.probe)) {
-    visit(r);
+    if (r >= step.first) visit(r);
   }
 }
 

@@ -22,7 +22,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -37,43 +36,59 @@ namespace cspdb {
 DbRelation FlatRelation(const Structure& s, int rel);
 
 /// KeyIndexes over columns of relations, built on first use and shared by
-/// every BodyJoin that probes the same columns of the same relation.
-/// DbRelations only grow, so an index whose relation has grown since it
-/// was built is rebuilt by the next Get: an index over a fixed (EDB)
-/// relation is built once, one over a relation extended every round
-/// (IDB) once per round.
+/// every BodyJoin that probes the same columns of the same relation. An
+/// index covers a row prefix, and a Get for a different prefix rebuilds
+/// it: an index over a fixed (EDB) relation is built once, one over the
+/// facts earlier rounds admitted (IDB) once per round.
 class JoinIndexes {
  public:
   /// The slot of the index over `columns` of `*rel`.
   int Slot(const DbRelation* rel, const std::vector<int>& columns);
 
-  /// The index in `slot`, current for its relation's rows.
-  const db_internal::KeyIndex& Get(int slot);
+  /// The index in `slot` over its relation's rows [0, rows). A Get for
+  /// another prefix replaces the index, so the atoms of one run that share
+  /// a slot must share their row bound.
+  const db_internal::KeyIndex& Get(int slot, std::size_t rows);
 
  private:
   struct Entry {
     const DbRelation* rel;
     std::vector<int> columns;  // KeyIndex keeps a reference: deque-stable
-    std::size_t rows = 0;      // rel->size() when `index` was built
+    std::size_t rows = 0;      // the prefix `index` covers
     std::unique_ptr<db_internal::KeyIndex> index;
   };
-  std::map<std::pair<const DbRelation*, std::vector<int>>, int> slots_;
+  // A plan registers a few slots, so a scan finds one.
   std::deque<Entry> entries_;
 };
 
 /// One atom of a conjunctive body: its variable ids (repeats allowed) and
 /// the relation it ranges over, of arity args->size() (the schema is not
-/// read). A null `rows` is an empty relation.
+/// read). A null `rows` is an empty relation. The atom ranges over rows
+/// [*begin, *end) of `rows`, read when each run starts; a null `begin`
+/// reads as 0, and a null `end` as the relation's size then.
 struct BodyAtom {
   const std::vector<int>* args;
   const DbRelation* rows;
+  const std::size_t* begin = nullptr;
+  const std::size_t* end = nullptr;
+
+  /// The first row a run starting now reads.
+  std::size_t First() const { return begin == nullptr ? 0 : *begin; }
+  /// One past the last row a run starting now reads.
+  std::size_t Last() const {
+    if (end != nullptr) return *end;
+    return rows == nullptr ? 0 : rows->size();
+  }
 };
 
 /// A conjunctive body `head :- atoms` compiled into a bound-first plan.
-/// The plan keeps the relation pointers, and each run reads their current
-/// rows. Between runs, a relation the plan probes through an index may
-/// only grow; the lead atom's relation is only scanned, so it may change
-/// freely.
+/// The plan keeps the relation pointers and row bounds, and each run
+/// reads the rows within the bounds as they stand when it starts. Between
+/// runs, relations may only grow: an index is reused while the prefix it
+/// covers is unchanged. A run may add its head rows to a relation its
+/// atoms range over (a Datalog rule whose head predicate occurs in its
+/// body): rows past an atom's bound are never read, and every read goes
+/// through the relation's current buffer, which an append can move.
 class BodyJoin {
  public:
   /// Plans the body over variables 0..num_variables-1 with atom `lead`
@@ -84,17 +99,20 @@ class BodyJoin {
            int num_variables, int lead, JoinIndexes* indexes);
 
   /// Enumerates every satisfying binding of the body, adds its head
-  /// projection to `*out` unless `known` holds it, and returns the number
+  /// projection to `*out` (one dedup probe each), and returns the number
   /// of bindings.
-  int64_t Run(DbRelation* out, const DbRelation* known = nullptr);
+  int64_t Run(DbRelation* out);
 
  private:
   struct Step {
-    const DbRelation* rows;
+    BodyAtom atom;
     int index = -1;            // JoinIndexes slot over the bound columns
     std::vector<int> probe;    // the bound variable of each key column
     std::vector<std::pair<int, int>> bind;  // (column, variable first seen)
     std::vector<std::pair<int, int>> same;  // (column, column binding it)
+    // The rows [first, last) of the current run.
+    std::size_t first = 0;
+    std::size_t last = 0;
   };
 
   void Descend(std::size_t depth);
@@ -107,7 +125,6 @@ class BodyJoin {
   std::vector<int> binding_;
   std::vector<int> head_row_;
   DbRelation* out_ = nullptr;
-  const DbRelation* known_ = nullptr;
   int64_t bindings_ = 0;
 };
 

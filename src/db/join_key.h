@@ -54,22 +54,29 @@ inline bool KeysEqual(const int* a, const std::vector<int>& a_pos,
 
 inline constexpr uint32_t kNoRow = 0xffffffffu;
 
-/// A bucket-chained hash index over the key columns of a relation: no
-/// per-key allocation, just two flat uint32 arrays (bucket heads + a next
-/// chain threaded through row indices). Immutable once built, so many
-/// probe threads may share one index.
+/// A bucket-chained hash index over the key columns of a relation's
+/// first `rows` rows: no per-key allocation, just two flat uint32 arrays
+/// (bucket heads + a next chain threaded through row indices). Immutable
+/// once built, so many probe threads may share one index. The relation
+/// may grow after the build: the index still covers its first `rows`
+/// rows, and a probe reads their values wherever they now live.
 class KeyIndex {
  public:
   KeyIndex(const DbRelation& rel, const std::vector<int>& key_pos)
+      : KeyIndex(rel, key_pos, rel.size()) {}
+
+  KeyIndex(const DbRelation& rel, const std::vector<int>& key_pos,
+           std::size_t rows)
       : rel_(rel), key_pos_(key_pos) {
-    const std::size_t buckets = std::max<std::size_t>(
-        16, std::bit_ceil(rel.size() + (rel.size() >> 1) + 1));
+    CSPDB_DCHECK(rows <= rel.size());
+    const std::size_t buckets =
+        std::max<std::size_t>(16, std::bit_ceil(rows + (rows >> 1) + 1));
     mask_ = buckets - 1;
     heads_.assign(buckets, kNoRow);
-    next_.assign(rel.size(), kNoRow);
+    next_.assign(rows, kNoRow);
     const int arity = rel.arity();
     const int* data = rel.data().data();
-    for (std::size_t i = 0; i < rel.size(); ++i) {
+    for (std::size_t i = 0; i < rows; ++i) {
       std::size_t h =
           HashKeyAt(data + i * static_cast<std::size_t>(arity), key_pos_) &
           mask_;

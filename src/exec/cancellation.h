@@ -1,9 +1,10 @@
 // Cooperative cancellation for the execution layer. A CancellationToken is
 // a flag (plus an optional wall-clock deadline) that long-running kernels
-// poll at safe points: BacktrackingSolver every few search nodes, which is
-// how the serving layer enforces per-request deadlines. Cancellation is
-// always cooperative — nothing is interrupted mid-write, so cancelled
-// kernels leave behind sound (if incomplete) state.
+// poll at safe points: BacktrackingSolver every few search nodes and the
+// semi-naive Datalog fixpoint before each round, which is how the serving
+// layer enforces per-request deadlines. Cancellation is always
+// cooperative — nothing is interrupted mid-write, so cancelled kernels
+// leave behind sound (if incomplete) state.
 
 #ifndef CSPDB_EXEC_CANCELLATION_H_
 #define CSPDB_EXEC_CANCELLATION_H_

@@ -263,13 +263,15 @@ std::shared_ptr<const EngineAnswer> CspdbService::RunEngine(
   CSPDB_COUNT("service.engine_invocations");
   CSPDB_HISTO_SCOPE("service.engine_ns");
   *work_items = 0;
+  // Polled by the engines that stop at a deadline: the CSP solver and the
+  // Datalog fixpoint.
+  exec::CancellationToken cancel;
+  if (deadline_ns > 0) {
+    cancel.CancelAfter(std::chrono::nanoseconds(deadline_ns - NowNs()));
+  }
   switch (KindOf(request)) {
     case RequestKind::kSolveCsp: {
       CSPDB_TIMER_SCOPE("service.engine.solve_csp");
-      exec::CancellationToken cancel;
-      if (deadline_ns > 0) {
-        cancel.CancelAfter(std::chrono::nanoseconds(deadline_ns - NowNs()));
-      }
       SolverOptions solver_options;
       solver_options.node_limit = options_.solver_node_limit;
       solver_options.cancel = &cancel;
@@ -299,7 +301,10 @@ std::shared_ptr<const EngineAnswer> CspdbService::RunEngine(
       CSPDB_CHECK_MSG(!req.program.goal().empty(), "program has no goal");
       // The answer is the goal's facts and a count: read both from the
       // flat fixpoint, without building DatalogResult's TupleSet view.
-      const DatalogFixpoint fixpoint = SemiNaiveFixpoint(req.program, req.edb);
+      const DatalogFixpoint fixpoint =
+          SemiNaiveFixpoint(req.program, req.edb, &cancel);
+      *work_items = fixpoint.TotalFacts();
+      if (!fixpoint.Complete()) return nullptr;  // deadline
       DatalogAnswer answer;
       if (const DbRelation* goal = fixpoint.Rows(req.program.goal())) {
         answer.goal_derived = !goal->empty();
@@ -308,8 +313,7 @@ std::shared_ptr<const EngineAnswer> CspdbService::RunEngine(
         answer.goal_facts.arity =
             std::max(0, req.program.ArityOf(req.program.goal()));
       }
-      answer.total_idb_facts = fixpoint.TotalFacts();
-      *work_items = answer.total_idb_facts;
+      answer.total_idb_facts = *work_items;
       return std::make_shared<const EngineAnswer>(std::move(answer));
     }
     case RequestKind::kCheckContainment: {

@@ -14,8 +14,9 @@
 // 3. Concurrent identical misses coalesce onto one engine run
 //    (service/single_flight.h).
 // 4. The engine runs under a CancellationToken armed with the request
-//    deadline (the CSP solver cancels mid-search; the other engines
-//    observe deadlines at request boundaries).
+//    deadline (the CSP solver cancels mid-search and the Datalog fixpoint
+//    between rounds; the other engines observe deadlines at request
+//    boundaries).
 //
 // Overload behaviour: Submit() maps requests onto the shared thread pool
 // behind a bounded admission count — beyond it requests are REJECTED

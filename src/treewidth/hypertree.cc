@@ -199,12 +199,13 @@ std::optional<int> HypertreeWidthUpperBound(const Hypergraph& h) {
   return htd->Width();
 }
 
-std::optional<std::vector<int>> SolveByHypertreeDecomposition(
-    const CspInstance& csp, const HypertreeDecomposition& htd) {
-  if (csp.num_variables() > 0 && csp.num_values() == 0) return std::nullopt;
-  CspInstance normalized = csp.NormalizedDistinctScopes();
-  std::vector<DbRelation> relations = ConstraintsAsRelations(normalized);
-  Hypergraph h = HypergraphOfSchemas(relations);
+namespace {
+
+// SolveByHypertreeDecomposition on `csp` once converted: `relations` are
+// its normalized constraints as relations and `h` their hypergraph.
+std::optional<std::vector<int>> SolveConverted(
+    const CspInstance& csp, const std::vector<DbRelation>& relations,
+    const Hypergraph& h, const HypertreeDecomposition& htd) {
   CSPDB_CHECK_MSG(IsValidGeneralizedHypertree(h, htd),
                   "decomposition invalid for this instance");
 
@@ -295,6 +296,16 @@ std::optional<std::vector<int>> SolveByHypertreeDecomposition(
   return solution;
 }
 
+}  // namespace
+
+std::optional<std::vector<int>> SolveByHypertreeDecomposition(
+    const CspInstance& csp, const HypertreeDecomposition& htd) {
+  if (csp.num_variables() > 0 && csp.num_values() == 0) return std::nullopt;
+  const std::vector<DbRelation> relations =
+      ConstraintsAsRelations(csp.NormalizedDistinctScopes());
+  return SolveConverted(csp, relations, HypergraphOfSchemas(relations), htd);
+}
+
 std::optional<std::vector<int>> SolveWithHypertreeHeuristic(
     const CspInstance& csp, int* width_out) {
   if (csp.num_variables() > 0 && csp.num_values() == 0) return std::nullopt;
@@ -319,7 +330,7 @@ std::optional<std::vector<int>> SolveWithHypertreeHeuristic(
   }
   CSPDB_CHECK(htd.has_value());  // every scope variable occurs in an edge
   if (width_out != nullptr) *width_out = htd->Width();
-  return SolveByHypertreeDecomposition(csp, *htd);
+  return SolveConverted(csp, relations, h, *htd);
 }
 
 }  // namespace cspdb

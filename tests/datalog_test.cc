@@ -7,6 +7,7 @@
 #include "boolean/hell_nesetril.h"
 #include "datalog/eval.h"
 #include "datalog/program.h"
+#include "exec/cancellation.h"
 #include "gen/generators.h"
 #include "util/rng.h"
 
@@ -108,6 +109,47 @@ TEST(DatalogEval, EmptyEdbDerivesNothing) {
   Structure g(GraphVocabulary(), 3);
   DatalogResult result = EvaluateSemiNaive(TransitiveClosure(), g);
   EXPECT_TRUE(result.Facts("T").empty());
+}
+
+// DatalogFixpoint::idb keeps facts in the order they were admitted. Over
+// a directed path, round k admits exactly the pairs at distance k + 1.
+TEST(DatalogEval, FixpointRowsFollowAdmissionOrder) {
+  const int n = 12;
+  const DatalogFixpoint fixpoint =
+      SemiNaiveFixpoint(TransitiveClosure(), DirectedPath(n));
+  ASSERT_TRUE(fixpoint.Complete());
+  const DbRelation* facts = fixpoint.Rows("T");
+  ASSERT_NE(facts, nullptr);
+  ASSERT_EQ(facts->size(), static_cast<std::size_t>(n * (n - 1) / 2));
+  // The rows' path lengths never decrease.
+  int longest = 0;
+  for (auto row : facts->rows()) {
+    EXPECT_GE(row[1] - row[0], longest);
+    longest = row[1] - row[0];
+  }
+  // The k-th block of delta_sizes[k] rows is the n - (k + 1) pairs at
+  // distance k + 1; the last round admits nothing.
+  ASSERT_EQ(fixpoint.delta_sizes.size(), static_cast<std::size_t>(n));
+  std::size_t next = 0;
+  for (int k = 0; k < n; ++k) {
+    const int distance = k + 1;
+    EXPECT_EQ(fixpoint.delta_sizes[k], n - distance) << k;
+    for (int64_t i = 0; i < fixpoint.delta_sizes[k]; ++i, ++next) {
+      auto row = facts->row(next);
+      EXPECT_EQ(row[1] - row[0], distance) << k;
+    }
+  }
+  EXPECT_EQ(next, facts->size());
+}
+
+TEST(DatalogEval, CancelledTokenStopsBeforeTheFirstRound) {
+  exec::CancellationToken cancel;
+  cancel.RequestCancel();
+  const DatalogFixpoint fixpoint =
+      SemiNaiveFixpoint(TransitiveClosure(), DirectedPath(5), &cancel);
+  EXPECT_FALSE(fixpoint.Complete());
+  EXPECT_EQ(fixpoint.iterations, 0);
+  EXPECT_EQ(fixpoint.TotalFacts(), 0);
 }
 
 TEST(DatalogEval, IterationCountsReasonable) {

@@ -15,7 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include "boolean/hell_nesetril.h"
 #include "csp/instance.h"
+#include "datalog/program.h"
 #include "exec/thread_pool.h"
 #include "gen/generators.h"
 #include "net/wire.h"
@@ -386,6 +388,29 @@ TEST(ServiceTest, DeadlineCancelsSolverMidSearch) {
                                      /*timeout_ns=*/50'000'000);
   EXPECT_EQ(response.status, StatusCode::kDeadlineExceeded);
   EXPECT_GE(service.stats().shed_deadline, 1);
+}
+
+TEST(ServiceTest, DeadlineStopsDatalogBetweenRounds) {
+  // Transitive closure over a directed path of 2,000 nodes takes about
+  // 2,000 rounds; with a 20 ms budget the token stops the fixpoint
+  // between two of them. The stopped run is not an answer, so nothing is
+  // cached: a repeat is no cache hit.
+  DatalogProgram program;
+  program.AddRule({{"T", {0, 1}}, {{"E", {0, 1}}}, 2});
+  program.AddRule({{"T", {0, 1}}, {{"T", {0, 2}}, {"E", {2, 1}}}, 3});
+  program.SetGoal("T");
+  const int n = 2000;
+  Structure path(GraphVocabulary(), n);
+  for (int i = 0; i + 1 < n; ++i) path.AddTuple(0, {i, i + 1});
+  const ServiceRequest request =
+      DatalogFixpointRequest{std::move(program), std::move(path)};
+  CspdbService service;
+  Response response = service.Handle(request, /*timeout_ns=*/20'000'000);
+  EXPECT_EQ(response.status, StatusCode::kDeadlineExceeded);
+  Response again = service.Handle(request, /*timeout_ns=*/20'000'000);
+  EXPECT_EQ(again.status, StatusCode::kDeadlineExceeded);
+  EXPECT_FALSE(again.cache_hit);
+  EXPECT_GE(service.stats().shed_deadline, 2);
 }
 
 TEST(ServiceTest, DestructorDrainsInFlightSubmissions) {
