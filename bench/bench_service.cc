@@ -186,7 +186,9 @@ std::vector<Structure> BenchDigraphs(int n, double p) {
 }
 
 // Evaluate(q, G(n, p)), n the row's size: the engine stage of a cold
-// EvalCq request. `answer_rows` is the mean answer size.
+// EvalCq request. `answer_rows` is the mean answer size. The chain and
+// cycle rows straddle one machine word: up to n = 64 their buckets run as
+// bit rows, at 96 as BodyJoins.
 void EvalCqRow(benchmark::State& state, const ConjunctiveQuery& q, double p) {
   const std::vector<Structure> graphs =
       BenchDigraphs(static_cast<int>(state.range(0)), p);
@@ -206,7 +208,7 @@ void EvalCqRow(benchmark::State& state, const ConjunctiveQuery& q, double p) {
 void BM_eval_cq_chain(benchmark::State& state) {
   EvalCqRow(state, ChainQuery(5), 0.08);
 }
-BENCHMARK(BM_eval_cq_chain)->Arg(12)->Arg(48);
+BENCHMARK(BM_eval_cq_chain)->Arg(12)->Arg(48)->Arg(64)->Arg(96);
 
 void BM_eval_cq_star(benchmark::State& state) {
   EvalCqRow(state, StarQuery(4), 0.08);
@@ -216,7 +218,7 @@ BENCHMARK(BM_eval_cq_star)->Arg(12)->Arg(48);
 void BM_eval_cq_cycle(benchmark::State& state) {
   EvalCqRow(state, CycleQuery(6), 0.08);
 }
-BENCHMARK(BM_eval_cq_cycle)->Arg(12)->Arg(48);
+BENCHMARK(BM_eval_cq_cycle)->Arg(12)->Arg(48)->Arg(64)->Arg(96);
 
 void BM_eval_cq_clique(benchmark::State& state) {
   EvalCqRow(state, CliqueQuery(4), 0.15);

@@ -42,15 +42,16 @@ struct Firing {
   std::optional<BodyJoin> join;
 
   // Runs the rule against the facts admitted before this round; returns
-  // the number of rule firings (satisfying bindings).
-  int64_t Run() {
+  // the number of rule firings (satisfying bindings). A fired `cancel`
+  // stops the join (see BodyJoin::Run).
+  int64_t Run(const exec::CancellationToken* cancel = nullptr) {
     for (const BodyAtom& atom : atoms) {
       if (atom.First() >= atom.Last()) return 0;
     }
     if (!join.has_value()) {
       join.emplace(atoms, rule->head.args, rule->num_variables, lead, indexes);
     }
-    return join->Run(&head->rows);
+    return join->Run(&head->rows, cancel);
   }
 };
 
@@ -138,7 +139,7 @@ const DbRelation* DatalogFixpoint::Rows(const std::string& predicate) const {
 }
 
 bool DatalogFixpoint::Complete() const {
-  return !delta_sizes.empty() && delta_sizes.back() == 0;
+  return !stopped && !delta_sizes.empty() && delta_sizes.back() == 0;
 }
 
 int64_t DatalogFixpoint::TotalFacts() const {
@@ -226,15 +227,25 @@ DatalogFixpoint SemiNaiveFixpoint(const DatalogProgram& program,
   }
   DatalogFixpoint fixpoint;
   std::vector<Firing>* round = &first_round;
-  while (cancel == nullptr || !cancel->cancelled()) {
+  // Polled before each round and after the last one: a round the token
+  // cut short is no fixpoint, even if it admitted nothing. Its facts are
+  // still admitted, since each follows from facts admitted before it.
+  auto cancelled = [&] {
+    fixpoint.stopped = cancel != nullptr && cancel->cancelled();
+    return fixpoint.stopped;
+  };
+  while (!cancelled()) {
     ++fixpoint.iterations;
     CSPDB_COUNT("datalog.iterations");
-    for (Firing& firing : *round) fixpoint.derivations += firing.Run();
+    for (Firing& firing : *round) fixpoint.derivations += firing.Run(cancel);
     const int64_t admitted = relations.Merge();
     fixpoint.delta_sizes.push_back(admitted);
     CSPDB_COUNT_N("datalog.delta_facts", admitted);
     CSPDB_TRACE_COUNTER("datalog.delta", admitted);
-    if (admitted == 0) break;
+    if (admitted == 0) {
+      cancelled();
+      break;
+    }
     round = &delta_rounds;
   }
   CSPDB_COUNT_N("datalog.derivations", fixpoint.derivations);

@@ -51,10 +51,12 @@ struct DatalogFixpoint {
   int64_t iterations = 0;   ///< as in DatalogResult
   int64_t derivations = 0;  ///< as in DatalogResult
   std::vector<int64_t> delta_sizes;  ///< as in DatalogResult
+  bool stopped = false;  ///< a cancellation token stopped the evaluation
 
   /// True if the evaluation reached the least fixpoint: its last round
-  /// admitted nothing. False only for an evaluation a cancellation token
-  /// stopped between rounds; its facts are those admitted so far.
+  /// admitted nothing, and no cancellation token stopped it. A stopped
+  /// evaluation, between rounds or inside one, is not complete even if
+  /// its last round admitted nothing; its facts are those derived so far.
   bool Complete() const;
 
   /// Facts derived for `predicate`, or null if it is not an IDB predicate.
@@ -80,8 +82,9 @@ DatalogResult EvaluateSemiNaive(const DatalogProgram& program,
                                 const Structure& edb);
 
 /// Semi-naive evaluation, returned as the flat relations it derived. A
-/// non-null `cancel` is polled before each round, and a cancelled token
-/// stops the evaluation there (see DatalogFixpoint::Complete).
+/// non-null `cancel` is polled before each round and inside each rule's
+/// join, and a cancelled token stops the evaluation there (see
+/// DatalogFixpoint::Complete).
 DatalogFixpoint SemiNaiveFixpoint(
     const DatalogProgram& program, const Structure& edb,
     const exec::CancellationToken* cancel = nullptr);

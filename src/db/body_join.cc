@@ -1,11 +1,21 @@
 #include "db/body_join.h"
 
+#include <limits>
+
 #include "util/check.h"
 
 namespace cspdb {
 
 using db_internal::KeyIndex;
 using db_internal::kNoRow;
+
+namespace {
+
+// Rows a run visits between two polls of its token: a poll reads the
+// clock, about as much as a few dozen visits.
+constexpr int64_t kRowsPerPoll = 4096;
+
+}  // namespace
 
 DbRelation FlatRelation(const Structure& s, int rel) {
   const int arity = s.vocabulary().symbol(rel).arity;
@@ -99,7 +109,8 @@ BodyJoin::BodyJoin(const std::vector<BodyAtom>& atoms,
   probes_.resize(steps_.size());
 }
 
-int64_t BodyJoin::Run(DbRelation* out) {
+int64_t BodyJoin::Run(DbRelation* out,
+                      const exec::CancellationToken* cancel) {
   // Every bound is fixed here, before the first head row is added.
   for (Step& step : steps_) {
     step.first = step.atom.First();
@@ -113,6 +124,10 @@ int64_t BodyJoin::Run(DbRelation* out) {
   }
   out_ = out;
   bindings_ = 0;
+  cancel_ = cancel;
+  until_poll_ = cancel == nullptr ? std::numeric_limits<int64_t>::max()
+                                  : kRowsPerPoll;
+  stopped_ = false;
   Descend(0);
   return bindings_;
 }
@@ -126,6 +141,8 @@ void BodyJoin::Descend(std::size_t depth) {
     out_->AddRow(head_row_.data());
     return;
   }
+  // Once stopped, every step returns here, so the run unwinds.
+  if (stopped_) return;
   const Step& step = steps_[depth];
   const DbRelation& rel = *step.atom.rows;
   const std::size_t arity = static_cast<std::size_t>(rel.arity());
@@ -140,14 +157,23 @@ void BodyJoin::Descend(std::size_t depth) {
     Descend(depth + 1);
   };
   const KeyIndex* index = probes_[depth];
+  int64_t visited = 0;
   if (index == nullptr) {
     for (std::size_t r = step.first; r < step.last; ++r) visit(r);
-    return;
+    visited = static_cast<int64_t>(step.last - step.first);
+  } else {
+    // The index covers rows [0, last); a match below `first` is skipped.
+    for (uint32_t r = index->FirstMatch(binding_.data(), step.probe);
+         r != kNoRow; r = index->NextMatch(r, binding_.data(), step.probe)) {
+      ++visited;
+      if (r >= step.first) visit(r);
+    }
   }
-  // The index covers rows [0, last); a match below `first` is skipped.
-  for (uint32_t r = index->FirstMatch(binding_.data(), step.probe);
-       r != kNoRow; r = index->NextMatch(r, binding_.data(), step.probe)) {
-    if (r >= step.first) visit(r);
+  // Counted once per loop, not per row, so the loop carries no store.
+  until_poll_ -= visited;
+  if (until_poll_ <= 0) {
+    until_poll_ = kRowsPerPoll;
+    stopped_ = cancel_->cancelled();
   }
 }
 

@@ -15,6 +15,10 @@
 // which ones: they are the homomorphisms from the body into the
 // relations, a set the order does not enter. So the answers and the
 // binding count (a Datalog rule's derivations) do not depend on it.
+//
+// A run given a CancellationToken polls it every few thousand rows
+// visited and, once it fires, stops enumerating: the head rows added so
+// far are a subset of the run's answer.
 
 #ifndef CSPDB_DB_BODY_JOIN_H_
 #define CSPDB_DB_BODY_JOIN_H_
@@ -28,6 +32,7 @@
 
 #include "db/join_key.h"
 #include "db/relation.h"
+#include "exec/cancellation.h"
 #include "relational/structure.h"
 
 namespace cspdb {
@@ -100,8 +105,10 @@ class BodyJoin {
 
   /// Enumerates every satisfying binding of the body, adds its head
   /// projection to `*out` (one dedup probe each), and returns the number
-  /// of bindings.
-  int64_t Run(DbRelation* out);
+  /// of bindings. A non-null `cancel` is polled every few thousand rows
+  /// visited; once it fires, the run stops with the bindings found so far.
+  int64_t Run(DbRelation* out,
+              const exec::CancellationToken* cancel = nullptr);
 
  private:
   struct Step {
@@ -126,6 +133,10 @@ class BodyJoin {
   std::vector<int> head_row_;
   DbRelation* out_ = nullptr;
   int64_t bindings_ = 0;
+  const exec::CancellationToken* cancel_ = nullptr;
+  int64_t until_poll_ = 0;  // rows left to visit before the next poll
+  // Set by a poll that found the token fired; ends the run.
+  bool stopped_ = false;
 };
 
 }  // namespace cspdb

@@ -1,8 +1,11 @@
 #include "db/conjunctive_query.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -111,6 +114,105 @@ bool Mentions(const BodyAtom& atom, int v) {
          atom.args->end();
 }
 
+// A domain element's bit in a bit row: one machine word per row.
+constexpr int kWordBits = 64;
+
+// True if EliminateByBitRows can eliminate a bucket: each atom has arity
+// at most 2, the bucket has at most two other variables, and the domain
+// fits one word.
+bool BitRowBucket(const std::vector<BodyAtom>& bucket,
+                  std::size_t other_variables, int domain_size) {
+  return domain_size <= kWordBits && other_variables <= 2 &&
+         std::all_of(bucket.begin(), bucket.end(), [](const BodyAtom& atom) {
+           return atom.args->size() <= 2;
+         });
+}
+
+// Adds to `*out` the bindings of `vars` (at most two, a < b) that extend
+// to a value of `y` satisfying every atom of `bucket`: atoms of arity at
+// most 2 over y and `vars`, whose values lie below `domain_size` <= 64.
+// Each set of values is a bit row: Y holds the values of y the atoms over
+// y alone allow, Ma[va] those of y the atoms over {a, y} allow with va,
+// Mb[vy] those of b the atoms over {y, b} allow with vy, and Fa, Fb and
+// Fab[va] what the atoms over the output variables alone allow. Then
+// eliminating y is a Boolean matrix product (paper, Section 5): row va of
+// the result is OR{Mb[vy] : vy in Y & Ma[va]} & Fab[va] & Fb, for each va
+// in Fa. A missing output variable ranges over the one value 0, so one
+// variable keeps the va with a nonzero Y & Ma[va], and none keeps one
+// empty row if Y is nonzero. The rows come out distinct and sorted by
+// (va, vb); column i of `*out` takes va if `take[i]` is 0, vb if it is 1.
+void EliminateByBitRows(const std::vector<BodyAtom>& bucket, int y,
+                        const std::vector<int>& vars, int domain_size,
+                        const std::vector<int>& take, DbRelation* out) {
+  using Rows = std::array<uint64_t, kWordBits>;
+  auto all = [](int n) { return n == kWordBits ? ~0ull : (1ull << n) - 1; };
+  // Role 0 is y, 1 is a, 2 is b, each with its number of values.
+  auto role = [&](int v) { return v == y ? 0 : v == vars[0] ? 1 : 2; };
+  const std::array<int, 3> size = {
+      domain_size, vars.empty() ? 1 : domain_size,
+      vars.size() < 2 ? 1 : domain_size};
+  std::array<uint64_t, 3> unary = {all(size[0]), all(size[1]),
+                                   all(size[2])};
+  // The matrix over roles {r, s} is pair[r + s - 1], its rows indexed by
+  // one role and its bits by the other: Ma = pair[0], Mb = pair[1] and
+  // Fab = pair[2].
+  constexpr std::array<int, 3> kRowRole = {1, 0, 1};
+  constexpr std::array<int, 3> kBitRole = {0, 2, 2};
+  std::array<Rows, 3> pair;
+  for (int k = 0; k < 3; ++k) {
+    pair[k].fill(0);
+    std::fill_n(pair[k].begin(), size[kRowRole[k]], all(size[kBitRole[k]]));
+  }
+  Rows allowed;
+  for (const BodyAtom& atom : bucket) {
+    const std::vector<int>& args = *atom.args;
+    const std::size_t arity = args.size();
+    const int* row = atom.rows->data().data();
+    const int* const end = row + atom.rows->size() * arity;
+    if (arity == 1 || args[0] == args[1]) {
+      // A unary atom, or a binary one on the diagonal: a filter on one
+      // variable, not a matrix.
+      uint64_t values = 0;
+      for (; row != end; row += arity) {
+        if (row[0] == row[arity - 1]) values |= 1ull << row[0];
+      }
+      unary[role(args[0])] &= values;
+      continue;
+    }
+    const int r0 = role(args[0]);
+    const int k = r0 + role(args[1]) - 1;
+    // Column `from` of each row indexes the matrix's rows, the other
+    // column its bits: an atom that reads (column role, row role) is
+    // transposed.
+    const int from = r0 == kRowRole[k] ? 0 : 1;
+    allowed.fill(0);
+    for (; row != end; row += 2) allowed[row[from]] |= 1ull << row[1 - from];
+    for (int v = 0; v < domain_size; ++v) pair[k][v] &= allowed[v];
+  }
+
+  Rows result;
+  std::size_t count = 0;
+  for (uint64_t as = unary[1]; as != 0; as &= as - 1) {
+    const int va = std::countr_zero(as);
+    uint64_t bs = 0;
+    for (uint64_t ys = unary[0] & pair[0][va]; ys != 0; ys &= ys - 1) {
+      bs |= pair[1][std::countr_zero(ys)];
+    }
+    result[va] = bs & pair[2][va] & unary[2];
+    count += static_cast<std::size_t>(std::popcount(result[va]));
+  }
+  out->Reserve(out->size() + count);
+  std::vector<int> row(take.size());
+  for (uint64_t as = unary[1]; as != 0; as &= as - 1) {
+    const int va = std::countr_zero(as);
+    for (uint64_t bs = result[va]; bs != 0; bs &= bs - 1) {
+      const std::array<int, 2> value = {va, std::countr_zero(bs)};
+      for (std::size_t i = 0; i < take.size(); ++i) row[i] = value[take[i]];
+      out->AppendRowUnchecked(row.data());
+    }
+  }
+}
+
 // Adds to `*out` the projection onto `head` of the satisfying bindings of
 // `atoms`, by bucket elimination (paper, Section 6). Each step takes the
 // variable outside the head whose bucket (the atoms that mention it)
@@ -120,13 +222,19 @@ bool Mentions(const BodyAtom& atom, int v) {
 // joined. A relation over no variable is a check: empty, the answer is
 // empty; otherwise it is dropped. Elimination stops once the chosen
 // bucket spans every variable left, and one last BodyJoin projects the
-// remaining atoms onto `head`; a small body goes straight to it.
-// Projecting out a variable no other atom mentions keeps exactly the
-// bindings of the other variables that extend to it, so the answer set
-// is the single BodyJoin's.
+// remaining atoms onto `head`; a small body goes straight to it. A
+// bucket that BitRowBucket admits is eliminated by EliminateByBitRows
+// instead of a BodyJoin, and so is the last one when its variable is the
+// only one outside the head left: it is then every atom, and its
+// elimination onto the head's variables is the answer. Projecting out a
+// variable no other atom mentions keeps exactly the bindings of the other
+// variables that extend to it, so the answer set is the single
+// BodyJoin's. A non-null `cancel` is polled before each bucket and inside
+// each BodyJoin; once it fires, the evaluation stops.
 void EvaluateByBuckets(std::vector<BodyAtom> atoms,
                        const std::vector<int>& head, int num_variables,
-                       int domain_size, DbRelation* out) {
+                       int domain_size, const exec::CancellationToken* cancel,
+                       DbRelation* out) {
   // stamp[v] == epoch marks v in the set being built; a new set is a new
   // epoch, so nothing is cleared between steps. Epoch 1 marks the head.
   std::vector<uint64_t> stamp(static_cast<std::size_t>(num_variables), 0);
@@ -180,6 +288,7 @@ void EvaluateByBuckets(std::vector<BodyAtom> atoms,
   std::vector<BodyAtom> bucket;
   std::vector<int> vars;
   while (plan) {
+    if (cancel != nullptr && cancel->cancelled()) return;
     int best = -1;
     std::size_t best_span = 0;
     for (int v : candidates) {
@@ -199,7 +308,25 @@ void EvaluateByBuckets(std::vector<BodyAtom> atoms,
         best_span = span;
       }
     }
-    if (best < 0 || best_span == head_left + candidates.size()) break;
+    if (best < 0) break;
+    if (best_span == head_left + candidates.size()) {
+      if (candidates.size() > 1 ||
+          !BitRowBucket(atoms, head_left, domain_size)) {
+        break;
+      }
+      // Eliminate the last variable onto the head's, and map each pair
+      // (va, vb) onto the head's columns. The head covers both variables,
+      // so distinct pairs stay distinct rows.
+      vars = head;
+      std::sort(vars.begin(), vars.end());
+      vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
+      std::vector<int> take(head.size());
+      for (std::size_t i = 0; i < head.size(); ++i) {
+        take[i] = head[i] == vars[0] ? 0 : 1;
+      }
+      EliminateByBitRows(atoms, best, vars, domain_size, take, out);
+      return;
+    }
 
     // The bucket's other variables, in increasing order.
     ++epoch;
@@ -236,16 +363,25 @@ void EvaluateByBuckets(std::vector<BodyAtom> atoms,
 
     if (projected.capacity() == 0) projected.reserve(candidates.size() + 1);
     DbRelation& rel = projected.emplace_back(vars);
-    BodyJoin(bucket, vars, num_variables, /*lead=*/-1, &indexes).Run(&rel);
+    if (BitRowBucket(bucket, vars.size(), domain_size)) {
+      std::vector<int> take(vars.size());
+      std::iota(take.begin(), take.end(), 0);
+      EliminateByBitRows(bucket, best, vars, domain_size, take, &rel);
+    } else {
+      BodyJoin(bucket, vars, num_variables, /*lead=*/-1, &indexes)
+          .Run(&rel, cancel);
+    }
     if (rel.empty()) return;
     if (!vars.empty()) atoms.push_back({&rel.schema(), &rel});
   }
-  BodyJoin(atoms, head, num_variables, /*lead=*/-1, &indexes).Run(out);
+  BodyJoin(atoms, head, num_variables, /*lead=*/-1, &indexes)
+      .Run(out, cancel);
 }
 
 }  // namespace
 
-DbRelation Evaluate(const ConjunctiveQuery& q, const Structure& db) {
+DbRelation Evaluate(const ConjunctiveQuery& q, const Structure& db,
+                    const exec::CancellationToken* cancel) {
   // Result schema: head positions 0..n-1 (attribute i = head slot i).
   std::vector<int> out_schema(q.head().size());
   for (std::size_t i = 0; i < out_schema.size(); ++i) {
@@ -271,7 +407,7 @@ DbRelation Evaluate(const ConjunctiveQuery& q, const Structure& db) {
     atoms.push_back({&atom.args, &it->second});
   }
   EvaluateByBuckets(std::move(atoms), q.head(), q.num_variables(),
-                    db.domain_size(), &out);
+                    db.domain_size(), cancel, &out);
   return out;
 }
 

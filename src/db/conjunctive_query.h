@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "db/relation.h"
+#include "exec/cancellation.h"
 #include "relational/structure.h"
 
 namespace cspdb {
@@ -70,12 +71,20 @@ class ConjunctiveQuery {
 /// outside the head is projected out as soon as the atoms that mention it
 /// are joined, each bucket by one indexed body join (db/body_join.h), so
 /// a chain or a star never enumerates the bindings of the whole body. A
-/// body that plans as one bucket, or that is expected to have too few
-/// satisfying bindings to pay for more joins, runs one body join. Database
-/// predicates are matched to atom predicates by name; an atom over a
-/// predicate absent from `db` yields an empty result. The result schema
-/// lists head positions 0..n-1.
-DbRelation Evaluate(const ConjunctiveQuery& q, const Structure& db);
+/// bucket of unary and binary atoms with at most two other variables,
+/// over a domain of at most 64 elements, is instead eliminated over bit
+/// rows, one machine word per row, as a Boolean matrix product; so is the
+/// last bucket, when it eliminates the last variable outside the head
+/// onto a head over at most two variables. A body that plans as one
+/// bucket, or that is expected to have too few satisfying bindings to pay
+/// for more joins, runs one body join. Database predicates are matched to
+/// atom predicates by name; an atom over a predicate absent from `db`
+/// yields an empty result. The result schema lists head positions 0..n-1.
+/// A non-null `cancel` is polled before each bucket and inside each body
+/// join; once it fires, evaluation stops, and the rows returned are a
+/// subset of the answer.
+DbRelation Evaluate(const ConjunctiveQuery& q, const Structure& db,
+                    const exec::CancellationToken* cancel = nullptr);
 
 /// True if the Boolean query "exists a satisfying assignment of Q's body"
 /// holds in `db` (ignores the head).

@@ -1,8 +1,10 @@
 // Cooperative cancellation for the execution layer. A CancellationToken is
 // a flag (plus an optional wall-clock deadline) that long-running kernels
-// poll at safe points: BacktrackingSolver every few search nodes and the
-// semi-naive Datalog fixpoint before each round, which is how the serving
-// layer enforces per-request deadlines. Cancellation is always
+// poll at safe points: BacktrackingSolver every few search nodes, BodyJoin
+// (the join under EvalCQ and Datalog) every few thousand rows, EvalCQ's
+// bucket plan before each bucket and the semi-naive Datalog fixpoint
+// before each round, which is how the serving layer enforces per-request
+// deadlines. Cancellation is always
 // cooperative — nothing is interrupted mid-write, so cancelled kernels
 // leave behind sound (if incomplete) state.
 

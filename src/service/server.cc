@@ -71,16 +71,35 @@ std::vector<uint32_t> SortedRowOrder(const DbRelation& rel) {
   return order;
 }
 
+// True if `rel`'s rows are in increasing lexicographic order. Stops at
+// the first inversion.
+bool RowsAscending(const DbRelation& rel) {
+  const auto arity = static_cast<std::size_t>(rel.arity());
+  const int* data = rel.data().data();
+  for (std::size_t r = 1; r < rel.size(); ++r) {
+    const int* row = data + r * arity;
+    if (!std::lexicographical_compare(row - arity, row, row, row + arity)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 // The rows of `rel` in lexicographic order, flat: the canonical answer
 // order that makes responses byte-identical regardless of evaluation
-// path. Sorts row indices and copies each row once.
+// path. Rows that arrive in order are copied as they are; otherwise the
+// row indices are sorted and each row copied once.
 RowsAnswer CanonicalRows(const DbRelation& rel) {
   const auto arity = static_cast<std::size_t>(rel.arity());
   const int* data = rel.data().data();
-  const std::vector<uint32_t> order = SortedRowOrder(rel);
   RowsAnswer out;
   out.arity = rel.arity();
   out.num_rows = static_cast<int64_t>(rel.size());
+  if (RowsAscending(rel)) {
+    out.rows.assign(data, data + rel.size() * arity);
+    return out;
+  }
+  const std::vector<uint32_t> order = SortedRowOrder(rel);
   out.rows.resize(rel.size() * arity);
   int* dst = out.rows.data();
   for (uint32_t r : order) {
@@ -263,8 +282,8 @@ std::shared_ptr<const EngineAnswer> CspdbService::RunEngine(
   CSPDB_COUNT("service.engine_invocations");
   CSPDB_HISTO_SCOPE("service.engine_ns");
   *work_items = 0;
-  // Polled by the engines that stop at a deadline: the CSP solver and the
-  // Datalog fixpoint.
+  // Polled by the engines that stop at a deadline: the CSP solver, EvalCQ
+  // and the Datalog fixpoint.
   exec::CancellationToken cancel;
   if (deadline_ns > 0) {
     cancel.CancelAfter(std::chrono::nanoseconds(deadline_ns - NowNs()));
@@ -291,8 +310,9 @@ std::shared_ptr<const EngineAnswer> CspdbService::RunEngine(
     case RequestKind::kEvalCq: {
       CSPDB_TIMER_SCOPE("service.engine.eval_cq");
       const auto& req = std::get<EvalCqRequest>(request);
-      const DbRelation result = Evaluate(req.query, req.database);
+      const DbRelation result = Evaluate(req.query, req.database, &cancel);
       *work_items = static_cast<int64_t>(result.size());
+      if (cancel.cancelled()) return nullptr;  // deadline
       return std::make_shared<const EngineAnswer>(CanonicalRows(result));
     }
     case RequestKind::kDatalogFixpoint: {

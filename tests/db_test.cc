@@ -8,6 +8,7 @@
 #include "csp/convert.h"
 #include "csp/solver.h"
 #include "db/algebra.h"
+#include "db/body_join.h"
 #include "db/containment.h"
 #include "db/conjunctive_query.h"
 #include "gen/generators.h"
@@ -222,6 +223,31 @@ TEST(Proposition22, BooleanQueriesContainment) {
   EXPECT_TRUE(IsContainedIn(phi_k3, phi_c5));
   // hom(K3 -> C5) does not exist, so phi_C5 not contained in phi_K3.
   EXPECT_FALSE(IsContainedIn(phi_c5, phi_k3));
+}
+
+TEST(BodyJoinCancel, FiredTokenStopsTheRunPartway) {
+  // Three disjoint atoms over 100 rows each: 10^6 bindings in full. A
+  // fired token stops the run at its first poll, a few thousand rows in,
+  // with the head rows found so far; without a token it runs to the end.
+  DbRelation e({0, 1});
+  for (int u = 0; u < 10; ++u) {
+    for (int v = 0; v < 10; ++v) e.AddRow({u, v});
+  }
+  const std::vector<int> a01 = {0, 1}, a23 = {2, 3}, a45 = {4, 5};
+  const std::vector<BodyAtom> atoms = {{&a01, &e}, {&a23, &e}, {&a45, &e}};
+  const std::vector<int> head = {0, 2, 4};
+  JoinIndexes indexes;
+  BodyJoin join(atoms, head, 6, /*lead=*/-1, &indexes);
+  exec::CancellationToken cancel;
+  cancel.RequestCancel();
+  DbRelation stopped(head);
+  const int64_t bindings = join.Run(&stopped, &cancel);
+  EXPECT_GT(bindings, 0);
+  EXPECT_LT(bindings, 100 * 100);
+  EXPECT_LT(stopped.size(), 1000u);
+  DbRelation full(head);
+  EXPECT_EQ(join.Run(&full), 100 * 100 * 100);
+  EXPECT_EQ(full.size(), 1000u);
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 // cliques with their usual heads, random heads (repeats allowed) and
 // Boolean heads, plus random bodies over unary, binary and ternary
 // predicates with repeated variables inside atoms, disconnected
-// components and predicates absent from the database.
+// components and predicates absent from the database. The bit-row
+// buckets are pinned on both sides of one word: the same bodies over 60
+// to 70 elements run as bit rows up to 64 and as BodyJoins past it.
 
 #include <gtest/gtest.h>
 
@@ -232,6 +234,86 @@ TEST(EvalCqPlanDifferential, RandomBodiesOverDenseGraphs) {
         RandomDigraph(n, p, &rng, /*allow_loops=*/rng.Bernoulli(0.5));
     const Structure db = RandomDatabase(graph, n * n / 2, &rng);
     ExpectSameAnswers(q, db, "dense #" + std::to_string(trial));
+  }
+}
+
+// Heads over the two variables `a` and `b`: in order, reversed,
+// repeated, over one variable and Boolean.
+std::vector<std::vector<int>> PairHeads(int a, int b) {
+  return {{a, b}, {b, a}, {a, b, b, a}, {b}, {}};
+}
+
+// Each body with each of its heads over a digraph on 60-70 nodes, loops
+// in half of them, with U and R as in RandomDatabase: every bucket of at
+// most three variables over unary and binary atoms runs as bit rows when
+// the domain fits one word (n <= 64) and as a BodyJoin past it.
+TEST(EvalCqPlanDifferential, BitRowBucketsAroundOneWord) {
+  struct Shape {
+    const char* name;
+    int num_variables;
+    std::vector<Atom> body;
+    std::vector<std::vector<int>> heads;
+  };
+  const std::vector<Shape> shapes = {
+      // Unary and loop atoms on each eliminated variable, which reads
+      // (a, y) once and (y, a) once, then (y, b) and (b, y). Over a
+      // loop-free graph E(x2,x2) empties x2's bucket, which ends the
+      // evaluation though every relation has rows.
+      {"filtered chain",
+       5,
+       {{"E", {0, 1}}, {"U", {1}}, {"E", {2, 1}}, {"E", {2, 2}},
+        {"E", {2, 3}}, {"U", {3}}, {"E", {4, 3}}},
+       PairHeads(0, 4)},
+      // E(x0,x2) is absorbed by x1's bucket and E(x3,x0), read (b, a), by
+      // x2's, the last one.
+      {"chorded cycle",
+       4,
+       {{"E", {0, 1}}, {"E", {1, 2}}, {"E", {0, 2}}, {"E", {2, 3}},
+        {"E", {3, 0}}},
+       PairHeads(0, 3)},
+      // x2's bucket absorbs the loop and unary atom on x0 as filters on
+      // its one output variable; x2 and x3 project onto x0 alone, and
+      // x0's bucket, the last, reads those projections as unary atoms on
+      // the eliminated variable.
+      {"looped star",
+       5,
+       {{"E", {0, 1}}, {"E", {0, 2}}, {"E", {3, 0}}, {"E", {0, 4}},
+        {"E", {0, 0}}, {"U", {0}}, {"U", {2}}},
+       PairHeads(1, 4)},
+      // Filters on the output variables alone: a loop on x0, a unary atom
+      // on x2, and E(x2,x0) read (b, a).
+      {"output filters",
+       3,
+       {{"E", {0, 1}}, {"E", {1, 2}}, {"E", {0, 0}}, {"U", {2}},
+        {"E", {2, 0}}},
+       PairHeads(0, 2)},
+      // x1's bucket holds the ternary R and falls back to a BodyJoin; x2's
+      // and x3's then run as bit rows over its projection.
+      {"ternary",
+       5,
+       {{"R", {0, 1, 2}}, {"E", {1, 1}}, {"E", {2, 3}}, {"E", {4, 3}}},
+       PairHeads(0, 4)},
+      // A ternary atom in the last bucket: the final step is a BodyJoin.
+      {"ternary last",
+       4,
+       {{"E", {0, 1}}, {"E", {1, 2}}, {"R", {2, 3, 2}}},
+       PairHeads(0, 3)},
+  };
+  Rng rng(108);
+  for (int trial = 0; trial < 44; ++trial) {
+    const int n = 60 + trial % 11;
+    const Structure graph =
+        RandomDigraph(n, 0.04 + 0.06 * rng.UniformDouble(), &rng,
+                      /*allow_loops=*/trial % 2 == 0);
+    const Structure db = RandomDatabase(graph, 2 * n, &rng);
+    for (const Shape& shape : shapes) {
+      for (const std::vector<int>& head : shape.heads) {
+        ExpectSameAnswers(ConjunctiveQuery(shape.num_variables, head,
+                                           shape.body),
+                          db, std::string(shape.name) + " over " +
+                                  std::to_string(n));
+      }
+    }
   }
 }
 

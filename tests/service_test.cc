@@ -413,6 +413,60 @@ TEST(ServiceTest, DeadlineStopsDatalogBetweenRounds) {
   EXPECT_GE(service.stats().shed_deadline, 2);
 }
 
+// The complete digraph on `n` elements, with or without loops.
+Structure CompleteDigraph(int n, bool loops) {
+  Structure g(GraphVocabulary(), n);
+  for (int u = 0; u < n; ++u) {
+    for (int v = 0; v < n; ++v) {
+      if (loops || u != v) g.AddTuple(0, {u, v});
+    }
+  }
+  return g;
+}
+
+TEST(ServiceTest, DeadlineStopsEvalCqMidJoin) {
+  // Three disjoint E atoms under a six-variable head over the complete
+  // digraph on 12 elements: one join of 144^3 = 2,985,984 answer rows,
+  // most of a second's work. With a 50 ms budget the join stops partway;
+  // a partial answer is no answer, so nothing is cached and a repeat is
+  // no cache hit.
+  const ConjunctiveQuery q(
+      6, {0, 1, 2, 3, 4, 5}, {{"E", {0, 1}}, {"E", {2, 3}}, {"E", {4, 5}}});
+  const ServiceRequest request =
+      EvalCqRequest{q, CompleteDigraph(12, /*loops=*/true)};
+  CspdbService service;
+  Response response = service.Handle(request, /*timeout_ns=*/50'000'000);
+  EXPECT_EQ(response.status, StatusCode::kDeadlineExceeded);
+  Response again = service.Handle(request, /*timeout_ns=*/50'000'000);
+  EXPECT_EQ(again.status, StatusCode::kDeadlineExceeded);
+  EXPECT_FALSE(again.cache_hit);
+  EXPECT_GE(service.stats().shed_deadline, 2);
+}
+
+TEST(ServiceTest, DeadlineStopsDatalogInsideARound) {
+  // One rule whose first round alone is most of a second's work and
+  // derives nothing: over the loop-free complete digraph on 12 elements
+  // the join visits 132^4 rows, since E(x6,x6) comes last in its order,
+  // and no row is a loop. A run that polled only between rounds would
+  // finish the round, admit nothing and call it the fixpoint. With a
+  // 50 ms budget the token stops the round, and a round cut short is no
+  // fixpoint even though it admitted nothing.
+  DatalogProgram program;
+  program.AddRule({{"T", {0}},
+                   {{"E", {0, 1}}, {"E", {2, 3}}, {"E", {4, 5}}, {"E", {6, 6}}},
+                   7});
+  program.SetGoal("T");
+  const ServiceRequest request = DatalogFixpointRequest{
+      std::move(program), CompleteDigraph(12, /*loops=*/false)};
+  CspdbService service;
+  Response response = service.Handle(request, /*timeout_ns=*/50'000'000);
+  EXPECT_EQ(response.status, StatusCode::kDeadlineExceeded);
+  Response again = service.Handle(request, /*timeout_ns=*/50'000'000);
+  EXPECT_EQ(again.status, StatusCode::kDeadlineExceeded);
+  EXPECT_FALSE(again.cache_hit);
+  EXPECT_GE(service.stats().shed_deadline, 2);
+}
+
 TEST(ServiceTest, DestructorDrainsInFlightSubmissions) {
   exec::ThreadPool pool(2);
   std::vector<std::future<Response>> futures;
